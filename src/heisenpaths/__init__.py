@@ -42,7 +42,6 @@ from .geometry import (
     kelvin_radial,
     koranyi_N,
     measure_jacobian_residual,
-    varphi,
 )
 from .operators import (
     TestFunction,

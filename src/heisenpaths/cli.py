@@ -25,6 +25,7 @@ config error (including an output path whose parent directory is missing),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -43,7 +44,6 @@ from .analysis import (
 from .operators import TestFunction, exp_jet, gauge_jet, sphere_basket
 from .sde import (
     SimConfig,
-    project_radial,
     sim_full_h,
     sim_hproc,
     sim_Nproc,
@@ -64,11 +64,14 @@ class ConfigError(ValueError):
 
 
 def _parse_float(s: str) -> float:
-    return float(s)
+    f = float(s)
+    if not math.isfinite(f):
+        raise ValueError(f"expected a finite number, got {s!r}")
+    return f
 
 
 def _parse_int(s: str) -> int:
-    f = float(s)
+    f = _parse_float(s)
     i = int(round(f))
     if abs(f - i) > 0:
         raise ValueError(f"expected an integer, got {s!r}")
@@ -79,7 +82,7 @@ def _parse_floats(s: str) -> tuple[float, ...]:
     items = [p for p in s.replace(",", " ").split() if p]
     if not items:
         raise ValueError("empty list")
-    return tuple(float(p) for p in items)
+    return tuple(_parse_float(p) for p in items)
 
 
 def _parse_str(s: str) -> str:
@@ -207,9 +210,9 @@ def resolve_config(command: tuple[str, str], raw: dict[str, str]) -> tuple[dict,
     for key, value in raw.items():
         if schema["tol"] and key.startswith("tol."):
             try:
-                tol[key[4:]] = float(value)
+                tol[key[4:]] = _parse_float(value)
             except ValueError as e:
-                raise ConfigError(f"bad tolerance override {key}={value!r}") from e
+                raise ConfigError(f"bad tolerance override {key}={value!r} ({e})") from e
             continue
         if key not in schema["keys"]:
             raise ConfigError(f"unknown config key {key!r} for {' '.join(command)}")

@@ -38,7 +38,6 @@ __all__ = [
     "SAmbient",
     "group_mul",
     "group_inv",
-    "varphi",
     "koranyi_N",
     "h_fun",
     "h_tilde",
@@ -156,12 +155,6 @@ def group_mul(a: HPoint, b: HPoint) -> HPoint:
 def group_inv(a: HPoint) -> HPoint:
     """Group inverse ``(-z, -t)``."""
     return HPoint(-a.z, -a.t)
-
-
-def varphi(p: HPoint) -> np.ndarray:
-    """Boundary embedding ``(z, 2t + i|z|^2)`` into C^(n+1)."""
-    r2 = float(np.sum(np.abs(p.z) ** 2))
-    return np.concatenate([p.z, [2.0 * p.t + 1j * r2]])
 
 
 # ---------------------------------------------------------------------------

@@ -85,14 +85,6 @@ class TestFunction:
     def eval(self, u, v):
         return self.jet(u, v).f
 
-    def d1(self, u, v):
-        j = self.jet(u, v)
-        return j.fu, j.fv
-
-    def d2(self, u, v):
-        j = self.jet(u, v)
-        return j.fuu, j.fuv, j.fvv
-
 
 # ---------------------------------------------------------------------------
 # exact jets of the conformal factor and the gauge, and jet algebra

@@ -31,10 +31,20 @@ Absorbed paths freeze at the triggering state.  Every ensemble is built from
 fixed-width path blocks with per-block Philox streams
 (:mod:`heisenpaths.rng`), so outputs are bitwise identical for any worker
 count.
+
+Finished blocks stop early.  A block stops stepping once no path it keeps
+can change any output: its last record slot is written and, in clocked
+runs, every kept path has crossed every level; in absorbing runs, every
+kept path is dead.  Columns that the final block truncates never hold it
+open.  Whatever a block would compute after that point never reaches an
+output, and each block draws from its own stream, so stopping changes no
+output byte; it only skips the steps.  Time averages need every step up to
+the horizon, so a run that accumulates them never stops early.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -83,6 +93,9 @@ class SimConfig:
             raise ValueError(f"n must be a positive integer, got {self.n!r}")
         if not 0.0 < self.step <= 0.1:
             raise ValueError(f"step must lie in (0, 0.1], got {self.step!r}")
+        for name in ("step", "horizon", "pole_eps", "r_floor", "tame"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.horizon < self.step:
             raise ValueError("horizon shorter than one step")
         k = round(self.horizon / self.step)
@@ -90,8 +103,8 @@ class SimConfig:
             raise ValueError("horizon is not a whole number of steps")
         if k > 10_000_000:
             raise ValueError("more than 1e7 steps requested")
-        if self.paths < 1:
-            raise ValueError("paths must be positive")
+        if not (isinstance(self.paths, (int, np.integer)) and self.paths >= 1):
+            raise ValueError(f"paths must be a positive integer, got {self.paths!r}")
         if not 0.0 < self.pole_eps <= 0.1:
             raise ValueError(f"pole_eps must lie in (0, 0.1], got {self.pole_eps!r}")
         if not 0.0 < self.r_floor <= 1e-3:
@@ -126,9 +139,14 @@ class PathEnsemble:
     ``times`` and whose trailing axis indexes paths.  Absorbing simulators
     add ``alive`` (times x paths) and ``death_time`` (``inf`` for
     survivors); frozen coordinates repeat the absorption state.  Clocked
-    simulators add the running clock at the record times and one crossing
-    record per requested level: interpolated state, fine time, and a hit
-    mask (state entries are NaN where the clock never reached the level).
+    simulators add ``clock``, the running clock at the record times (times
+    x paths), and one crossing record per requested level: interpolated
+    state, fine time, and a hit mask (state entries are NaN where the clock
+    never reached the level).
+
+    A block stops stepping only after its last record slot, so ``clock``
+    and the states at a record time after the last crossing (or after the
+    last absorption) hold the same values as in a run to the horizon.
     """
 
     times: np.ndarray
@@ -158,6 +176,8 @@ def _snap_slots(cfg: SimConfig, record_times: Sequence[float]) -> tuple[np.ndarr
     times = np.asarray(sorted(record_times), dtype=float)
     slots: dict[int, int] = {}
     for j, T in enumerate(times):
+        if not np.isfinite(T):
+            raise ValueError(f"record time {T} is not finite")
         k = int(round(T / cfg.step))
         if not 0 <= k <= cfg.steps or abs(k * cfg.step - T) > 1e-9 * max(1.0, T):
             raise ValueError(f"record time {T} not on the step grid")
@@ -168,18 +188,20 @@ def _snap_slots(cfg: SimConfig, record_times: Sequence[float]) -> tuple[np.ndarr
 
 
 def _run_blocked(cfg: SimConfig, purpose: int, kernel: Callable) -> dict[str, np.ndarray]:
-    """Run ``kernel(width, rng) -> dict[str, array]`` over the block plan.
+    """Run ``kernel(width, keep, rng) -> dict[str, array]`` over the block plan.
 
     Kernels always simulate ``BLOCK_PATHS`` paths; the final block is
-    truncated afterwards, so path ``j`` of a run does not depend on the total
-    path count.  Arrays are concatenated along their last axis in block
-    order, which makes the result independent of scheduling.
+    truncated to its first ``keep`` paths afterwards, so path ``j`` of a run
+    does not depend on the total path count.  Kernels use ``keep`` only to
+    decide when their block is finished.  Arrays are concatenated along
+    their last axis in block order, which makes the result independent of
+    scheduling.
     """
     plan = block_plan(cfg.paths)
 
     def job(entry):
         b, keep = entry
-        out = kernel(BLOCK_PATHS, stream(cfg.seed, purpose, b))
+        out = kernel(BLOCK_PATHS, keep, stream(cfg.seed, purpose, b))
         return {k: v[..., :keep] for k, v in out.items()}
 
     if cfg.workers > 1 and len(plan) > 1:
@@ -194,6 +216,13 @@ def _run_blocked(cfg: SimConfig, purpose: int, kernel: Callable) -> dict[str, np
 
 def _drift_cap(cfg: SimConfig) -> float:
     return cfg.tame * np.sqrt(cfg.step)
+
+
+def _start_point(x0) -> tuple[float, float]:
+    a, b = float(x0[0]), float(x0[1])
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise ValueError(f"start point must be finite, got ({a!r}, {b!r})")
+    return a, b
 
 
 def _collect_crossings(flat: dict[str, np.ndarray], levels, names) -> dict[float, dict[str, np.ndarray]]:
@@ -226,10 +255,13 @@ def sim_full_h(
     z0 = np.zeros(cfg.n, dtype=complex) if x0_z is None else np.asarray(x0_z, dtype=complex)
     if z0.shape != (cfg.n,):
         raise ValueError(f"x0_z must have shape ({cfg.n},)")
+    if not (np.all(np.isfinite(z0)) and math.isfinite(x0_t)):
+        raise ValueError("start point must be finite")
     sq = np.sqrt(cfg.step)
     n = cfg.n
+    last = max(slots, default=0)
 
-    def kernel(width, rng):
+    def kernel(width, keep, rng):
         z = np.repeat(z0[:, None], width, axis=1)
         t = np.full(width, float(x0_t))
         snap_z = np.empty((len(times), n, width), dtype=complex)
@@ -241,7 +273,7 @@ def sim_full_h(
 
         if 0 in slots:
             record(slots[0])
-        for k in range(cfg.steps):
+        for k in range(last):  # only record slots reach the output
             dw = rng.standard_normal((2 * n, width))
             dz = sq * (dw[:n] + 1j * dw[n:])
             t = t + np.sum(z.real * dz.imag - z.imag * dz.real, axis=0)
@@ -294,23 +326,26 @@ def sim_radial_h(
     if levels and clock is None:
         raise ValueError("levels need a clock")
     levels = sorted(float(u) for u in levels)
-    if any(u <= 0 for u in levels):
-        raise ValueError("clock levels must be positive")
+    if not all(0 < u < math.inf for u in levels):
+        raise ValueError("clock levels must be positive and finite")
     times, slots = _snap_slots(cfg, record_times)
     factor = CLOCKS[clock] if clock else None
     dt, sq = cfg.step, np.sqrt(cfg.step)
     n = cfg.n
     cap = _drift_cap(cfg)
     guard = 0.5 * sq
-    r0, t0 = float(x0[0]), float(x0[1])
+    r0, t0 = _start_point(x0)
     if r0 < 0:
         raise ValueError("x0 radial coordinate must be nonnegative")
+    last = max(slots, default=0)
 
-    def kernel(width, rng):
+    def kernel(width, keep, rng):
         r = np.full(width, r0)
         t = np.full(width, t0)
         m = len(times)
         out = {"r": np.empty((m, width)), "t": np.empty((m, width))}
+        hits = []  # kept columns of each level's hit mask (views)
+        pending = bool(levels)  # a kept path has a level left to cross
         if factor is not None:
             A = np.zeros(width)
             f_old = factor(r, t) * np.ones(width)
@@ -320,6 +355,7 @@ def sim_radial_h(
                 out[f"cross{i}_t"] = np.full(width, np.nan)
                 out[f"cross{i}_time"] = np.full(width, np.nan)
                 out[f"cross{i}_hit"] = np.zeros(width, dtype=bool)
+                hits.append(out[f"cross{i}_hit"][:keep])
 
         def record(j):
             out["r"][j] = r
@@ -347,10 +383,13 @@ def sim_radial_h(
                         out[f"cross{i}_t"][cross] = t[cross] + lam * (t_new[cross] - t[cross])
                         out[f"cross{i}_time"][cross] = (k + lam) * dt
                         hit[cross] = True
+                        pending = not all(h.all() for h in hits)
                 A, f_old = A_new, f_new
             r, t = r_new, t_new
             if k + 1 in slots:
                 record(slots[k + 1])
+            if k + 1 >= last and not pending:
+                break
         return out
 
     flat = _run_blocked(cfg, purpose, kernel)
@@ -388,11 +427,13 @@ def sim_radial_s(
     cap = _drift_cap(cfg)
     guard = 0.5 * sq
     hi = np.pi / 2 - cfg.r_floor
-    r0, th0 = float(x0[0]), float(x0[1])
+    r0, th0 = _start_point(x0)
     if not 0 <= r0 < np.pi / 2:
         raise ValueError("x0 radial coordinate must lie in [0, pi/2)")
+    # averages need every step; otherwise only record slots reach the output
+    stop = cfg.steps if averages else max(slots, default=0)
 
-    def kernel(width, rng):
+    def kernel(width, keep, rng):
         r = np.full(width, r0)
         th = np.full(width, th0 % TWO_PI)
         m = len(times)
@@ -405,7 +446,7 @@ def sim_radial_s(
 
         if 0 in slots:
             record(slots[0])
-        for k in range(cfg.steps):
+        for k in range(stop):
             dw = rng.standard_normal((2, width))
             if k >= burn_steps:
                 for name, f in averages.items():
@@ -448,14 +489,16 @@ def sim_hproc(
     guard = 0.5 * sq
     hi = np.pi / 2 - cfg.r_floor
     floor = cfg.absorb_floor_h
-    r0, th0 = float(x0[0]), float(x0[1])
+    r0, th0 = _start_point(x0)
     if h_fun(r0, th0) <= floor:
         raise ValueError("x0 starts inside the absorption region")
+    last = max(slots, default=0)
 
-    def kernel(width, rng):
+    def kernel(width, keep, rng):
         r = np.full(width, r0)
         th = np.full(width, th0 % TWO_PI)
         alive = np.ones(width, dtype=bool)
+        alive_kept = alive[:keep]  # view: follows the in-place updates
         death = np.full(width, np.inf)
         m = len(times)
         out = {
@@ -484,6 +527,8 @@ def sim_hproc(
             alive &= ~died
             if k + 1 in slots:
                 record(slots[k + 1])
+            if k + 1 >= last and not alive_kept.any():
+                break
         out["death_time"] = death
         return out
 
@@ -510,14 +555,16 @@ def sim_Nproc(
     cap = _drift_cap(cfg)
     guard = 0.5 * sq
     floor = cfg.absorb_floor_N
-    r0, t0 = float(x0[0]), float(x0[1])
+    r0, t0 = _start_point(x0)
     if koranyi_N(r0, t0) <= floor:
         raise ValueError("x0 starts inside the absorption region")
+    last = max(slots, default=0)
 
-    def kernel(width, rng):
+    def kernel(width, keep, rng):
         r = np.full(width, r0)
         t = np.full(width, t0)
         alive = np.ones(width, dtype=bool)
+        alive_kept = alive[:keep]  # view: follows the in-place updates
         death = np.full(width, np.inf)
         m = len(times)
         out = {
@@ -546,6 +593,8 @@ def sim_Nproc(
             alive &= ~died
             if k + 1 in slots:
                 record(slots[k + 1])
+            if k + 1 >= last and not alive_kept.any():
+                break
         out["death_time"] = death
         return out
 

@@ -76,6 +76,33 @@ def test_bad_start_point_is_config_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "command, bad",
+    [
+        ("simulate radial-h", "horizon=inf"),
+        ("simulate radial-h", "paths=inf"),
+        ("simulate radial-h", "x0_r=nan"),
+        ("simulate radial-h", "x0_t=inf"),
+        ("simulate radial-h", "tame=nan"),
+        ("simulate radial-h", "record=0,inf"),
+        ("simulate hproc", "record=nan"),
+        ("experiment cayley", "horizon_a=inf"),
+        ("experiment cayley", "u_grid=0.1,nan"),
+        ("experiment kelvin", "u_grid=inf"),
+        ("experiment tdist", "ts=0,inf"),
+        ("verify geometry", "seed=nan"),
+        ("verify geometry", "tol.kelvin_involution=inf"),
+    ],
+)
+def test_non_finite_value_is_config_error(tmp_path, capsys, command, bad):
+    out = tmp_path / "o"
+    # later overrides win, so the bad value replaces the small defaults
+    argv = command.split() + ["paths=8", "horizon=0.01", bad, "--out", str(out)]
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # config file plumbing
 

@@ -1,5 +1,5 @@
 """Golden output bytes: SHA-256 of ``manifest.txt`` plus every CSV for small
-fixed runs of each simulating command, at seed 1.
+fixed runs of each experiment and simulate command, at seed 1.
 
 The pinned digests guard the reproducibility contract across refactors and
 speed-ups of the simulators: a change that alters any of these bytes must
@@ -36,6 +36,10 @@ RUNS = {
     "tdist-absorbed": (
         ["experiment", "tdist", "paths=64", "step=5e-3", "pole_eps=0.05", "ts=0,1,4,16"],
         1, "457fb10866a40567b9cbbca561a2ad87a2531c796d79e7c50afcb06bae51533b",
+    ),
+    "semigroup": (
+        ["experiment", "semigroup", "paths=500", "step=5e-3", "t_grid=0.25"],
+        0, "467f380ac63a9662b60d9c77df6b0856762528f558da024a84eb476eb151894d",
     ),
     "radial-h": (
         ["simulate", "radial-h", "paths=10", "horizon=0.05", "step=2e-3", "x0_r=0.3",

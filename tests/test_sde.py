@@ -1,9 +1,12 @@
 """Path simulators: config validation, exact moments, projection law,
-absorption behaviour, determinism."""
+absorption behaviour, early stopping of finished blocks, determinism."""
+
+import math
 
 import numpy as np
 import pytest
 
+from heisenpaths import sde
 from heisenpaths.analysis import ks_critical, ks_two_sample
 from heisenpaths.geometry import h_fun, koranyi_N
 from heisenpaths.rng import PURPOSE_COMPARE
@@ -37,6 +40,44 @@ def test_config_validation():
         SimConfig(r_floor=0.01)
     with pytest.raises(ValueError):
         SimConfig(paths=0)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"horizon": math.inf},
+        {"horizon": math.nan},
+        {"step": math.nan},
+        {"tame": math.nan},
+        {"tame": math.inf},
+        {"pole_eps": math.nan},
+        {"r_floor": math.nan},
+        {"paths": math.inf},
+        {"paths": 16.0},
+    ],
+)
+def test_config_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        SimConfig(**bad)
+
+
+def test_start_point_must_be_finite():
+    cfg = small_cfg(paths=8, horizon=0.01)
+    for fn, x0 in (
+        (sim_radial_h, (math.nan, 0.0)),
+        (sim_radial_h, (0.3, math.inf)),
+        (sim_radial_s, (0.3, math.nan)),
+        (sim_hproc, (math.nan, 0.0)),
+        (sim_Nproc, (1.0, math.inf)),
+    ):
+        with pytest.raises(ValueError):
+            fn(cfg, x0=x0)
+    with pytest.raises(ValueError):
+        sim_full_h(cfg, x0_t=math.nan)
+    with pytest.raises(ValueError):
+        sim_radial_h(cfg, x0=(0.3, 0.0), record_times=(math.inf,))
+    with pytest.raises(ValueError):
+        sim_radial_h(cfg, x0=(0.3, 0.0), clock="cayley", levels=(math.nan,))
 
 
 def test_absorption_floors():
@@ -201,3 +242,92 @@ def test_start_state_is_exact():
     assert np.all(ens.states["r"][0] == 0.7)
     assert np.all(ens.states["th"][0] == 1.0)
     assert h_fun(0.7, 1.0) > 0  # sanity: start is well inside the live region
+
+
+# ---------------------------------------------------------------------------
+# finished blocks stop early
+
+
+def count_block_steps(monkeypatch) -> list:
+    """Record the size of every normal draw the simulators make: one draw
+    per block-step."""
+    draws = []
+    real = sde.stream
+
+    class Counting:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, size):
+            draws.append(size)
+            return self.gen.standard_normal(size)
+
+    monkeypatch.setattr(sde, "stream", lambda *a: Counting(real(*a)))
+    return draws
+
+
+def test_record_after_last_crossing_keeps_clock_and_state(monkeypatch):
+    cfg = small_cfg(horizon=1.0, paths=512)
+    plain = sim_radial_h(cfg, clock="cayley", record_times=(0.5, 1.0))
+    draws = count_block_steps(monkeypatch)
+    ens = sim_radial_h(cfg, clock="cayley", levels=(0.1,), record_times=(0.5, 1.0))
+    cross = ens.crossings[0.1]
+    assert np.all(cross["hit"]) and np.max(cross["time"]) < 0.5
+    # stepping continues to the last record time, and no further
+    assert len(draws) == cfg.steps
+    assert np.array_equal(ens.clock, plain.clock)
+    for name in ("r", "t"):
+        assert np.array_equal(ens.states[name], plain.states[name])
+    assert np.all(ens.clock[-1] > 0.1)
+
+
+def test_unreached_level_runs_to_horizon(monkeypatch):
+    # at this horizon a handful of the 4096 paths never reach u=0.3
+    cfg = small_cfg(horizon=0.4)
+    draws = count_block_steps(monkeypatch)
+    ens = sim_radial_h(cfg, clock="cayley", levels=(0.3,))
+    cross = ens.crossings[0.3]
+    miss = ~cross["hit"]
+    assert 0 < np.sum(miss) < 20
+    for name in ("r", "t", "time"):
+        assert np.all(np.isnan(cross[name][miss]))
+        assert np.all(np.isfinite(cross[name][~miss]))
+    assert len(draws) == cfg.steps
+
+
+def test_block_stops_when_kept_paths_crossed(monkeypatch):
+    # some truncated columns of the block never cross: they must not keep it
+    # stepping, and the kept columns must match the untruncated run
+    full = sim_radial_h(small_cfg(horizon=0.4), clock="cayley", levels=(0.3,))
+    keep = int(np.argmin(full.crossings[0.3]["hit"]))
+    assert keep > 100
+    cfg = small_cfg(horizon=0.4, paths=keep)
+    draws = count_block_steps(monkeypatch)
+    ens = sim_radial_h(cfg, clock="cayley", levels=(0.3,))
+    last = float(np.max(ens.crossings[0.3]["time"]))
+    assert len(draws) < cfg.steps
+    assert (len(draws) - 1) * cfg.step < last <= len(draws) * cfg.step + 1e-12
+    assert all(size == (2, sde.BLOCK_PATHS) for size in draws)  # draws stay full width
+    for name, arr in ens.crossings[0.3].items():
+        assert np.array_equal(arr, full.crossings[0.3][name][:keep], equal_nan=name != "hit")
+
+
+def test_all_absorbed_block_repeats_frozen_state(monkeypatch):
+    cfg = small_cfg(horizon=4.0, step=5e-3, paths=8, pole_eps=0.1)
+    record = (0.25, 1.0, 2.0)
+    draws = count_block_steps(monkeypatch)
+    ens = sim_Nproc(cfg, x0=(0.2, 0.0), record_times=record)
+    assert np.any(ens.alive[0]) and not np.any(ens.alive[1:])
+    assert np.all(ens.death_time <= 1.0)
+    # every kept path is dead by the last record time: stepping ends there
+    assert len(draws) == round(2.0 / cfg.step)
+    for name in ("r", "t"):
+        assert np.array_equal(ens.states[name][1], ens.states[name][2])
+    # and the outputs are those of a block that runs to the horizon
+    wide = sim_Nproc(small_cfg(horizon=4.0, step=5e-3, paths=64, pole_eps=0.1),
+                     x0=(0.2, 0.0), record_times=record)
+    assert np.any(wide.alive[-1])
+    assert np.array_equal(ens.alive, wide.alive[:, :8])
+    assert np.array_equal(ens.death_time, wide.death_time[:8])
+    for name in ("r", "t"):
+        assert np.array_equal(ens.states[name], wide.states[name][:, :8])
