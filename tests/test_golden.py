@@ -8,7 +8,10 @@ re-pinned with it.  The runs are chosen to cover a partial final block
 (``paths=4196``), levels that every path crosses well before ``horizon_a``
 (cayley, kelvin preimage), a level that some paths never reach (kelvin
 image), an absorbing ensemble that dies out before its horizon
-(``tdist-absorbed``) and record times on every simulator.  Digests depend
+(``tdist-absorbed``) and record times on every simulator.  The ``-equator``
+runs start the sphere processes beyond the upper guard clip of the radial
+coordinate (``x0_r=1.55``); the ``-wrap`` runs start the angle just below
+``2*pi`` (``x0_t=6.28``), so it wraps in both directions.  Digests depend
 on numpy's Philox stream and on the platform's floating point; a numpy
 upgrade that changes them is a contract change too.
 """
@@ -50,6 +53,14 @@ RUNS = {
         ["simulate", "radial-s", "paths=6", "horizon=0.02", "step=2e-3", "x0_r=0.7", "x0_t=1.0"],
         0, "2bccb9a67baf58e597f28755b0c42b6c9791c3f1e13fb952a46a109450ff5fd5",
     ),
+    "radial-s-equator": (
+        ["simulate", "radial-s", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
+        0, "2c20cd2ce97dee554433a8ac21591deb06654230d1e4ed7ff5456947ba6aa527",
+    ),
+    "radial-s-wrap": (
+        ["simulate", "radial-s", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=0.7", "x0_t=6.28"],
+        0, "887631236547bd3236b60acfe801038c630c2a126d6df9f94bab9ada4381d0b1",
+    ),
     "full-h": (
         ["simulate", "full-h", "n=2", "paths=4", "horizon=0.02", "step=2e-3"],
         0, "6862c6dd68fb809209da605c3c75d50e0dd00083d7c58f5c97c28ac37738636c",
@@ -58,6 +69,14 @@ RUNS = {
         ["simulate", "hproc", "paths=32", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
          "x0_r=0.2", "x0_t=2.5", "record=0,0.5,1"],
         0, "eb50744f1cb8f2464789038c7af262ea33d919610be46905ff6437301dbb2ae5",
+    ),
+    "hproc-equator": (
+        ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
+        0, "1461a22a917021e75d40ca9f7cf9ba1667725088d4754db45bd0fd944a6eea7e",
+    ),
+    "hproc-wrap": (
+        ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=0.7", "x0_t=6.28"],
+        0, "1aeedc492fe2450f2fcb05e9774641e371052e2c4f419a71bfc1ddce58f7582a",
     ),
     "nproc": (
         ["simulate", "nproc", "paths=32", "horizon=1.0", "step=5e-3", "x0_r=0.3",
