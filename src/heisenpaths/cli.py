@@ -71,11 +71,16 @@ def _parse_float(s: str) -> float:
 
 
 def _parse_int(s: str) -> int:
+    # integer literals parse exactly; a float literal is taken only where
+    # it names an integer exactly (below 2**53), so no value is rounded
+    try:
+        return int(s)
+    except ValueError:
+        pass
     f = _parse_float(s)
-    i = int(round(f))
-    if abs(f - i) > 0:
+    if not f.is_integer() or abs(f) >= 2.0**53:
         raise ValueError(f"expected an integer, got {s!r}")
-    return i
+    return int(f)
 
 
 def _parse_floats(s: str) -> tuple[float, ...]:

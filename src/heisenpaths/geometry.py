@@ -40,6 +40,7 @@ __all__ = [
     "group_inv",
     "koranyi_N",
     "h_fun",
+    "h_fun_cos",
     "h_tilde",
     "H_fun",
     "H_tilde",
@@ -175,8 +176,17 @@ def h_fun(rs, th):
     """
     rs = np.asarray(rs, dtype=float)
     th = np.asarray(th, dtype=float)
-    c = np.cos(rs)
-    return 1.0 + 2.0 * c * np.cos(th) + c**2
+    return h_fun_cos(np.cos(rs), np.cos(th))
+
+
+def h_fun_cos(c, ct):
+    """:func:`h_fun` from ``c = cos(rs)`` and ``ct = cos(th)``.
+
+    The one copy of the formula: :func:`h_fun`, the exact jet in
+    :mod:`~heisenpaths.operators` and the simulator, which reuses the
+    cosines of a step's state, all evaluate it here.
+    """
+    return 1.0 + 2.0 * c * ct + c**2
 
 
 def h_tilde(rs, th):

@@ -31,6 +31,7 @@ import numpy as np
 from .geometry import (
     cayley1_chart,
     cayley1_chart_inv,
+    h_fun_cos,
     kelvin_radial,
     koranyi_N,
 )
@@ -53,7 +54,9 @@ __all__ = [
     "sphere_carre",
     "heis_carre",
     "sphere_radial_drift",
+    "sphere_radial_drift_tan",
     "drift_hproc",
+    "drift_hproc_trig",
     "drift_Nproc",
     "harmonic_gap_sphere",
     "harmonic_gap_heis",
@@ -90,16 +93,23 @@ class TestFunction:
 # exact jets of the conformal factor and the gauge, and jet algebra
 
 
+def _h_first_order(c, s, ct, st):
+    """``h_fun`` and its two first partials from the cosines and sines of
+    ``rs`` and ``th``."""
+    return h_fun_cos(c, ct), -2.0 * s * (ct + c), -2.0 * c * st
+
+
 def h_fun_jet(rs, th) -> Jet2:
     """Exact jet of the sphere-side conformal factor ``h_fun``."""
     rs = np.asarray(rs, dtype=float)
     th = np.asarray(th, dtype=float)
     c, s = np.cos(rs), np.sin(rs)
     ct, st = np.cos(th), np.sin(th)
+    f, fu, fv = _h_first_order(c, s, ct, st)
     return Jet2(
-        f=1.0 + 2.0 * c * ct + c**2,
-        fu=-2.0 * s * (ct + c),
-        fv=-2.0 * c * st,
+        f=f,
+        fu=fu,
+        fv=fv,
         fuu=-2.0 * c * ct - 2.0 * np.cos(2.0 * rs),
         fuv=2.0 * s * st,
         fvv=-2.0 * c * ct,
@@ -182,8 +192,12 @@ def exp_jet(base: Jet2, scale: float = 1.0) -> Jet2:
 
 def sphere_radial_drift(rs, n: int):
     """First-order radial coefficient ``(2n-1)*cot(rs) - tan(rs)``."""
-    rs = np.asarray(rs, dtype=float)
-    return (2 * n - 1) / np.tan(rs) - np.tan(rs)
+    return sphere_radial_drift_tan(np.tan(np.asarray(rs, dtype=float)), n)
+
+
+def sphere_radial_drift_tan(ta, n: int):
+    """:func:`sphere_radial_drift` from ``ta = tan(rs)``."""
+    return (2 * n - 1) / ta - ta
 
 
 def sphere_generator(jet: Jet2, rs, n: int):
@@ -259,9 +273,19 @@ def drift_hproc(q, n: int):
     rs, th = q
     rs = np.asarray(rs, dtype=float)
     th = np.asarray(th, dtype=float)
-    hj = h_fun_jet(rs, th)
-    br = 0.5 * sphere_radial_drift(rs, n) - 0.5 * n * hj.fu / hj.f
-    bth = -0.5 * n * np.tan(rs) ** 2 * hj.fv / hj.f
+    return drift_hproc_trig(np.cos(rs), np.sin(rs), np.cos(th), np.sin(th), np.tan(rs), n)
+
+
+def drift_hproc_trig(c, s, ct, st, ta, n: int):
+    """:func:`drift_hproc` from ``c, s, ta = cos, sin, tan(rs)`` and
+    ``ct, st = cos, sin(th)``.
+
+    The simulator calls this with the trigonometry of each step computed
+    once, so :func:`drift_hproc` and the simulator run the same arithmetic.
+    """
+    f, fu, fv = _h_first_order(c, s, ct, st)
+    br = 0.5 * sphere_radial_drift_tan(ta, n) - 0.5 * n * fu / f
+    bth = -0.5 * n * ta**2 * fv / f
     return br, bth
 
 

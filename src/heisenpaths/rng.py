@@ -29,7 +29,9 @@ def stream(seed: int, purpose: int, block: int) -> np.random.Generator:
     """Philox generator for one ``(purpose, block)`` cell of a run."""
     if not 0 <= block < (1 << _PURPOSE_SHIFT):
         raise ValueError(f"block index out of range: {block}")
-    key = [int(seed), (int(purpose) << _PURPOSE_SHIFT) + int(block)]
+    # an explicit uint64 key: a list of Python ints above 2**63 would reach
+    # Philox through a lossy float cast
+    key = np.array([int(seed), (int(purpose) << _PURPOSE_SHIFT) + int(block)], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -40,6 +40,19 @@ open.  Whatever a block would compute after that point never reaches an
 output, and each block draws from its own stream, so stopping changes no
 output byte; it only skips the steps.  Time averages need every step up to
 the horizon, so a run that accumulates them never stops early.
+
+The sphere-side steps (:func:`sim_radial_s`, :func:`sim_hproc`) are fused:
+each transcendental is evaluated once per step, and only what the drift
+needs is computed.  ``tan`` of the guarded radius serves the radial drift,
+the angular drift and the angular diffusion; ``cos(r)`` and ``cos(th)`` of
+the new state serve the absorption test and then the next step's drift,
+with ``cos`` evaluated afresh only where the guard clip moved ``r``.  The
+drift comes from :func:`~heisenpaths.operators.drift_hproc_trig`, the same
+formula behind :func:`~heisenpaths.operators.drift_hproc`, with every
+expression in the same operation order, so the fused steps write the same
+bytes.  The angle wrap calls ``np.mod`` only on entries outside
+``(0, 2*pi)``: inside it ``np.mod`` is the identity, so the result equals
+``np.mod`` bit for bit (``-0.0``, NaN and infinities included).
 """
 
 from __future__ import annotations
@@ -51,8 +64,12 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import TWO_PI, H_fun, h_fun, koranyi_N
-from .operators import drift_hproc, drift_Nproc, sphere_radial_drift
+from .geometry import TWO_PI, H_fun, h_fun, h_fun_cos, koranyi_N
+from .operators import drift_hproc_trig, drift_Nproc, sphere_radial_drift_tan
+
+# bench/tracer.py patches these names here to time them; the fused sphere
+# steps no longer call them
+from .operators import drift_hproc, sphere_radial_drift  # noqa: F401
 from .rng import BLOCK_PATHS, PURPOSE_MAIN, block_plan, stream
 
 __all__ = [
@@ -113,6 +130,8 @@ class SimConfig:
             raise ValueError("tame must be positive")
         if self.workers < 1:
             raise ValueError("workers must be positive")
+        if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
     @property
     def steps(self) -> int:
@@ -216,6 +235,41 @@ def _run_blocked(cfg: SimConfig, purpose: int, kernel: Callable) -> dict[str, np
 
 def _drift_cap(cfg: SimConfig) -> float:
     return cfg.tame * np.sqrt(cfg.step)
+
+
+def _clip(x, cap: float):
+    """``np.clip(x, -cap, cap)`` without its Python wrapper; same values."""
+    return np.minimum(np.maximum(x, -cap), cap)
+
+
+def _wrap_angle(x: np.ndarray) -> np.ndarray:
+    """``np.mod(x, TWO_PI)`` bit for bit, computed in place.
+
+    Nearly every entry already lies in ``(0, 2*pi)``, where ``np.mod`` is
+    the identity, so it runs only on the rest: negatives (including
+    ``-0.0``, which it maps to ``+0.0``), ``0.0``, ``2*pi`` and above, NaN
+    and infinities.
+    """
+    return np.mod(x, TWO_PI, out=x, where=~((x > 0.0) & (x < TWO_PI)))
+
+
+def _hproc_drift(r, cr, th, ct, lo: float, hi: float, n: int):
+    """Drift of :func:`sim_hproc` at the guarded state ``(clip(r, lo, hi), th)``.
+
+    ``cr`` and ``ct`` are ``cos(r)`` and ``cos(th)``, kept from the
+    absorption test of the previous step; ``cos`` is evaluated afresh only
+    where the clip moved ``r``.  Returns ``tan`` of the guarded radius and
+    the drift, equal bit for bit to :func:`~heisenpaths.operators.drift_hproc`
+    at the guarded state.
+    """
+    re = np.minimum(np.maximum(r, lo), hi)
+    moved = re != r
+    if moved.any():
+        cr = cr.copy()
+        cr[moved] = np.cos(re[moved])
+    ta = np.tan(re)
+    br, bth = drift_hproc_trig(cr, np.sin(re), ct, np.sin(th), ta, n)
+    return ta, br, bth
 
 
 def _start_point(x0) -> tuple[float, float]:
@@ -426,6 +480,7 @@ def sim_radial_s(
     n = cfg.n
     cap = _drift_cap(cfg)
     guard = 0.5 * sq
+    upper = np.pi / 2 - guard
     hi = np.pi / 2 - cfg.r_floor
     r0, th0 = _start_point(x0)
     if not 0 <= r0 < np.pi / 2:
@@ -451,10 +506,10 @@ def sim_radial_s(
             if k >= burn_steps:
                 for name, f in averages.items():
                     acc[name] += f(r, th) * dt
-            re = np.clip(r, guard, np.pi / 2 - guard)
-            disp = np.clip(0.5 * sphere_radial_drift(re, n) * dt, -cap, cap)
+            ta = np.tan(np.minimum(np.maximum(r, guard), upper))
+            disp = _clip(0.5 * sphere_radial_drift_tan(ta, n) * dt, cap)
             r = np.minimum(np.abs(r + disp + sq * dw[0]), hi)
-            th = np.mod(th + np.tan(re) * sq * dw[1], TWO_PI)
+            th = _wrap_angle(th + ta * sq * dw[1])
             if k + 1 in slots:
                 record(slots[k + 1])
         span = (cfg.steps - burn_steps) * dt
@@ -487,6 +542,7 @@ def sim_hproc(
     n = cfg.n
     cap = _drift_cap(cfg)
     guard = 0.5 * sq
+    upper = np.pi / 2 - guard
     hi = np.pi / 2 - cfg.r_floor
     floor = cfg.absorb_floor_h
     r0, th0 = _start_point(x0)
@@ -514,15 +570,20 @@ def sim_hproc(
 
         if 0 in slots:
             record(slots[0])
+        cr, ct = np.cos(r), np.cos(th)
         for k in range(cfg.steps):
             dw = rng.standard_normal((2, width))
-            re = np.clip(r, guard, np.pi / 2 - guard)
-            br, bth = drift_hproc((re, th), n)
-            r_new = np.minimum(np.abs(r + np.clip(br * dt, -cap, cap) + sq * dw[0]), hi)
-            th_new = np.mod(th + np.clip(bth * dt, -cap, cap) + np.tan(re) * sq * dw[1], TWO_PI)
-            r = np.where(alive, r_new, r)
-            th = np.where(alive, th_new, th)
-            died = alive & (h_fun(r, th) < floor)
+            ta, br, bth = _hproc_drift(r, cr, th, ct, guard, upper, n)
+            r_new = np.minimum(np.abs(r + _clip(br * dt, cap) + sq * dw[0]), hi)
+            th_new = _wrap_angle(th + _clip(bth * dt, cap) + ta * sq * dw[1])
+            dead = ~alive
+            np.copyto(r_new, r, where=dead)
+            np.copyto(th_new, th, where=dead)
+            r, th = r_new, th_new
+            # the cosines of the new state serve the absorption test now
+            # and the drift of the next step
+            cr, ct = np.cos(r), np.cos(th)
+            died = alive & (h_fun_cos(cr, ct) < floor)
             death[died] = (k + 1) * dt
             alive &= ~died
             if k + 1 in slots:

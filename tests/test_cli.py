@@ -103,6 +103,32 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, command, bad):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--seed", "-1"],
+        ["seed=-1"],
+        ["seed=18446744073709551616"],
+        ["seed=9007199254740993.0"],  # a float literal would round to 2**53
+        ["seed=1.5"],
+    ],
+)
+def test_bad_seed_is_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "o"
+    base = ["simulate", "radial-h", "paths=2", "horizon=0.002", "--out", str(out)]
+    assert main(base + argv) == 2
+    assert "seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["9007199254740993", str(2**64 - 1)])
+def test_large_seed_parses_exactly(tmp_path, seed):
+    out = tmp_path / "o"
+    argv = ["simulate", "radial-h", "paths=2", "horizon=0.002", f"seed={seed}", "--out", str(out)]
+    assert main(argv) == 0
+    assert read_manifest(out / "manifest.txt")["config.seed"] == seed
+
+
 # ---------------------------------------------------------------------------
 # config file plumbing
 

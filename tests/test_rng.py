@@ -32,6 +32,12 @@ def test_stream_separation():
         assert not np.array_equal(base, other.standard_normal(16))
 
 
+def test_stream_key_is_exact_for_every_seed():
+    for seed in (0, 2**53 + 1, 2**63, 2**64 - 1):
+        key = stream(seed, PURPOSE_COMPARE, 5).bit_generator.state["state"]["key"]
+        assert [int(k) for k in key] == [seed, (PURPOSE_COMPARE << 40) + 5]
+
+
 def test_block_plan_covers_paths():
     for paths in (1, BLOCK_PATHS - 1, BLOCK_PATHS, BLOCK_PATHS + 1, 3 * BLOCK_PATHS + 17):
         plan = block_plan(paths)

@@ -8,7 +8,8 @@ import pytest
 
 from heisenpaths import sde
 from heisenpaths.analysis import ks_critical, ks_two_sample
-from heisenpaths.geometry import h_fun, koranyi_N
+from heisenpaths.geometry import TWO_PI, h_fun, koranyi_N
+from heisenpaths.operators import drift_hproc
 from heisenpaths.rng import PURPOSE_COMPARE
 from heisenpaths.sde import (
     SimConfig,
@@ -40,6 +41,10 @@ def test_config_validation():
         SimConfig(r_floor=0.01)
     with pytest.raises(ValueError):
         SimConfig(paths=0)
+    for seed in (-1, 2**64, 1.0):
+        with pytest.raises(ValueError):
+            SimConfig(seed=seed)
+    assert SimConfig(seed=2**64 - 1).seed == 2**64 - 1
 
 
 @pytest.mark.parametrize(
@@ -331,3 +336,41 @@ def test_all_absorbed_block_repeats_frozen_state(monkeypatch):
     assert np.array_equal(ens.death_time, wide.death_time[:8])
     for name in ("r", "t"):
         assert np.array_equal(ens.states[name], wide.states[name][:, :8])
+
+
+# ---------------------------------------------------------------------------
+# the fused sphere step runs the arithmetic of the operators module
+
+
+def as_bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_hproc_step_drift_equals_drift_hproc_bitwise(n):
+    rng = np.random.default_rng(7)
+    lo = 0.5 * math.sqrt(1e-3)
+    hi = math.pi / 2 - lo
+    r = rng.uniform(lo, hi, 4096)
+    r[:64] = rng.uniform(0.0, lo, 64)  # clipped up at the axis guard
+    r[64:128] = rng.uniform(hi, math.pi / 2, 64)  # clipped down at the equator
+    r[128:130] = (lo, hi)
+    th = rng.uniform(0.0, TWO_PI, 4096)
+    re = np.clip(r, lo, hi)
+    assert np.sum(re != r) == 128
+    ta, br, bth = sde._hproc_drift(r, np.cos(r), th, np.cos(th), lo, hi, n)
+    want_br, want_bth = drift_hproc((re, th), n)
+    assert np.array_equal(as_bits(ta), as_bits(np.tan(re)))
+    assert np.array_equal(as_bits(br), as_bits(want_br))
+    assert np.array_equal(as_bits(bth), as_bits(want_bth))
+
+
+def test_wrap_angle_equals_np_mod_bitwise():
+    x = np.array([
+        -0.0, 0.0, TWO_PI, np.nextafter(TWO_PI, 0.0), -1e-300, 4 * np.pi,
+        np.nan, -np.nan, np.inf, -np.inf, 1.0, -3.0, 7.0,
+    ])
+    with np.errstate(invalid="ignore"):
+        want = np.mod(x, TWO_PI)
+        got = sde._wrap_angle(x.copy())
+    assert np.array_equal(as_bits(got), as_bits(want))
