@@ -1,7 +1,9 @@
 """Path simulators: config validation, exact moments, projection law,
 absorption behaviour, early stopping of finished blocks, determinism."""
 
+import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -374,3 +376,81 @@ def test_wrap_angle_equals_np_mod_bitwise():
         want = np.mod(x, TWO_PI)
         got = sde._wrap_angle(x.copy())
     assert np.array_equal(as_bits(got), as_bits(want))
+
+
+# ---------------------------------------------------------------------------
+# output digests of runs that no golden CLI run reaches
+
+
+def ensemble_digest(ens) -> str:
+    """SHA-256 over every array of an ensemble, with names, dtypes and
+    shapes, in a fixed order."""
+    h = hashlib.sha256()
+
+    def put(name, arr):
+        arr = np.ascontiguousarray(arr)
+        h.update(f"{name}|{arr.dtype.str}|{arr.shape}\0".encode() + arr.tobytes())
+
+    put("times", ens.times)
+    for name in sorted(ens.states):
+        put(f"states.{name}", ens.states[name])
+    for name in ("alive", "death_time", "clock"):
+        if getattr(ens, name) is not None:
+            put(name, getattr(ens, name))
+    for u in sorted(ens.crossings):
+        for name in sorted(ens.crossings[u]):
+            put(f"crossings.{u!r}.{name}", ens.crossings[u][name])
+    for name in sorted(ens.averages):
+        put(f"averages.{name}", ens.averages[name])
+    return h.hexdigest()
+
+
+# name -> (simulator, config overrides, call arguments, SHA-256 of the
+# ensemble); every run has a partial final block (paths=4196)
+DIGEST_RUNS = {
+    # the ergodic_experiment path: averages after a burn-in, no records
+    "radial-s-averages": (
+        sim_radial_s, dict(horizon=0.2),
+        dict(x0=(0.4, 0.0), averages={"c2": lambda r, th: np.cos(r) ** 2}, burn=0.1),
+        "2b7eda3e89921f8267578b11af8f90e74f0fa3c8ef3007830f8889539c083a90",
+    ),
+    "full-h-x0z": (
+        sim_full_h, dict(n=2, horizon=0.2),
+        dict(x0_z=(0.3 + 0.1j, -0.2 + 0.5j), x0_t=0.1, record_times=(0.0, 0.1, 0.2)),
+        "2a89b0e1884bea8ee63d4cd1dbbb1ebe8c81f1c6f5f995f9b7b965662fe3acf4",
+    ),
+    "radial-h-clock": (
+        sim_radial_h, dict(horizon=0.2),
+        dict(x0=(0.3, 0.1), clock="kelvin_image", record_times=(0.1, 0.2)),
+        "90b161f26c9ab2ecd8b9dac6d30c2e0e6b1acee2fb2e1979250651888428777a",
+    ),
+    "radial-h-kelvin-preimage": (
+        sim_radial_h, dict(horizon=0.4),
+        dict(x0=(1.0, 0.0), clock="kelvin_preimage", levels=(0.05, 0.2), record_times=(0.1,)),
+        "b67882b730432a8bd553d1389b9bac53ff2d56456947c4ea656d4b3338bd6311",
+    ),
+    "hproc-n2-equator": (
+        sim_hproc, dict(n=2, horizon=0.1),
+        dict(x0=(1.55, 1.0), record_times=(0.0, 0.05, 0.1)),
+        "3b36724ba5264d16269b60e3ff45ef17a4131ac02d82da09d84829ea936b412e",
+    ),
+    # the final block is dead by t=0.645, so it stops at the last record
+    # time while the first block runs to the horizon
+    "nproc-dies-out": (
+        sim_Nproc, dict(horizon=4.0, step=5e-3, pole_eps=0.1, seed=7),
+        dict(x0=(0.2, 0.0), record_times=(0.25, 1.0)),
+        "c86d84b6d17825b4f7f8414f52b7c64e77f2723498688b8529a6f11e17bcfa08",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIGEST_RUNS))
+def test_simulator_output_digest(name, monkeypatch):
+    fn, over, kwargs, digest = DIGEST_RUNS[name]
+    cfg = small_cfg(**{"paths": 4196, "seed": 3, **over})
+    draws = count_block_steps(monkeypatch)
+    ens = fn(cfg, **kwargs)
+    # the simulator draws through sde.stream, one full-width draw per step
+    assert draws and all(size[-1] == sde.BLOCK_PATHS for size in draws)
+    assert ensemble_digest(ens) == digest
+    assert ensemble_digest(fn(replace(cfg, workers=2), **kwargs)) == digest
