@@ -26,7 +26,6 @@ from math import gamma as gamma_fn
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .geometry import (
     HPoint,
@@ -248,6 +247,39 @@ def _smoothstep(v, lo: float = 0.1, hi: float = 0.2):
     return s * s * (3.0 - 2.0 * s)
 
 
+def _doob_check(f, x, t, cfg, sim_cond, sim_free, weight, coord: str, eigenfactor: float) -> dict:
+    """Body of both semigroup checks: ``sim_cond`` is the conditioned
+    process, ``sim_free`` the free one, ``weight`` the conditioning factor
+    (``w = weight^(-n/2)``, and the cutoff smoothstep is taken in it) and
+    ``coord`` the second state coordinate."""
+    n = cfg.n
+    run = replace(cfg, horizon=float(t))
+
+    def obs(r, v):
+        return f.eval(r, v) * _smoothstep(weight(r, v))
+
+    cond = sim_cond(run, x0=x, record_times=(t,), purpose=PURPOSE_MAIN)
+    vals = obs(cond.states["r"][-1], cond.states[coord][-1])
+    est1 = _mean_se(np.where(cond.alive[-1], vals, 0.0))
+
+    free = sim_free(run, x0=x, record_times=(t,), purpose=PURPOSE_COMPARE)
+    r, v = free.states["r"][-1], free.states[coord][-1]
+    w = weight(r, v) ** (-0.5 * n)
+    w0 = weight(*x) ** (-0.5 * n)
+    est2 = _mean_se(eigenfactor * w * obs(r, v) / w0)
+
+    gap = abs(est1.value - est2.value)
+    se = float(np.hypot(est1.std_error, est2.std_error))
+    return {
+        "conditioned": est1,
+        "weighted": est2,
+        "gap": gap,
+        "se": se,
+        "tol": 3.0 * se + 0.02,
+        "pass": gap <= 3.0 * se + 0.02,
+    }
+
+
 def doob_semigroup_check(
     f: TestFunction,
     x: tuple[float, float],
@@ -266,33 +298,8 @@ def doob_semigroup_check(
     conformal factor is below 0.1 (1 above 0.2) — identically in both
     estimates, so they target the same functional.
     """
-    n = cfg.n
-    run = replace(cfg, horizon=float(t))
-
-    def obs(r, th):
-        return f.eval(r, th) * _smoothstep(h_fun(r, th))
-
-    cond = sim_hproc(run, x0=x, record_times=(t,), purpose=PURPOSE_MAIN)
-    vals = obs(cond.states["r"][-1], cond.states["th"][-1])
-    est1 = _mean_se(np.where(cond.alive[-1], vals, 0.0))
-
-    free = sim_radial_s(run, x0=x, record_times=(t,), purpose=PURPOSE_COMPARE)
-    r, th = free.states["r"][-1], free.states["th"][-1]
-    w = h_fun(r, th) ** (-0.5 * n)
-    w0 = h_fun(*x) ** (-0.5 * n)
-    fac = float(survival_eigenfactor(n, t))
-    est2 = _mean_se(fac * w * obs(r, th) / w0)
-
-    gap = abs(est1.value - est2.value)
-    se = float(np.hypot(est1.std_error, est2.std_error))
-    return {
-        "conditioned": est1,
-        "weighted": est2,
-        "gap": gap,
-        "se": se,
-        "tol": 3.0 * se + 0.02,
-        "pass": gap <= 3.0 * se + 0.02,
-    }
+    fac = float(survival_eigenfactor(cfg.n, t))
+    return _doob_check(f, x, t, cfg, sim_hproc, sim_radial_s, h_fun, "th", fac)
 
 
 def doob_semigroup_check_N(
@@ -303,34 +310,9 @@ def doob_semigroup_check_N(
 ) -> dict:
     """Group-side analogue of :func:`doob_semigroup_check`: the conditioned
     Heisenberg process against the ``N^(-n/2)``-weighted free motion.  The
-    weight is harmonic (no eigenfactor); the cutoff smoothstep is taken in
-    the gauge."""
-    n = cfg.n
-    run = replace(cfg, horizon=float(t))
-
-    def obs(r, tt):
-        return F.eval(r, tt) * _smoothstep(koranyi_N(r, tt))
-
-    cond = sim_Nproc(run, x0=x, record_times=(t,), purpose=PURPOSE_MAIN)
-    vals = obs(cond.states["r"][-1], cond.states["t"][-1])
-    est1 = _mean_se(np.where(cond.alive[-1], vals, 0.0))
-
-    free = sim_radial_h(run, x0=x, record_times=(t,), purpose=PURPOSE_COMPARE)
-    r, tt = free.states["r"][-1], free.states["t"][-1]
-    w = koranyi_N(r, tt) ** (-0.5 * n)
-    w0 = koranyi_N(*x) ** (-0.5 * n)
-    est2 = _mean_se(w * obs(r, tt) / w0)
-
-    gap = abs(est1.value - est2.value)
-    se = float(np.hypot(est1.std_error, est2.std_error))
-    return {
-        "conditioned": est1,
-        "weighted": est2,
-        "gap": gap,
-        "se": se,
-        "tol": 3.0 * se + 0.02,
-        "pass": gap <= 3.0 * se + 0.02,
-    }
+    weight is harmonic (no eigenfactor: ``1.0 * w`` is ``w`` bit for bit);
+    the cutoff smoothstep is taken in the gauge."""
+    return _doob_check(F, x, t, cfg, sim_Nproc, sim_radial_h, koranyi_N, "t", 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +321,10 @@ def doob_semigroup_check_N(
 
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
+    # imported here: scipy.special is most of the package's import time,
+    # and only the law comparisons need it
+    from scipy import special
+
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     m, k = a.size, b.size
@@ -357,6 +343,8 @@ def ks_critical(alpha: float, m: int, k: int) -> float:
     """Two-sample KS acceptance threshold at level ``alpha``."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
+    from scipy import special
+
     return float(special.kolmogi(alpha) * np.sqrt((m + k) / (m * k)))
 
 
@@ -419,6 +407,36 @@ def _drop_stats(dropA: float, dropB: float, P: int) -> dict:
     }
 
 
+def _pushforward(x0, u_grid, cfg, horizon_a, clock: str, sim_b, chart, gauge, coord: str) -> dict:
+    """Body of both law-transport experiments: route A runs the free
+    Heisenberg radial motion on ``clock`` and maps its level crossings
+    through ``chart``; route B runs ``sim_b`` from the mapped start.  The
+    marginals ``r``, ``coord`` and ``gauge`` are compared per level."""
+    u_grid = sorted(float(u) for u in u_grid)
+    runA = replace(cfg, horizon=float(horizon_a))
+    ensA = sim_radial_h(runA, x0=x0, clock=clock, levels=u_grid, purpose=PURPOSE_MAIN)
+    y0 = chart(*x0)
+    runB = replace(cfg, horizon=float(max(u_grid)))
+    ensB = sim_b(runB, x0=(float(y0[0]), float(y0[1])), record_times=u_grid, purpose=PURPOSE_COMPARE)
+
+    out: dict = {"u_grid": u_grid, "paths": ensA.paths}
+    for j, u in enumerate(u_grid):
+        cross = ensA.crossings[u]
+        hitA = cross["hit"]
+        rA, vA = chart(cross["r"][hitA], cross["t"][hitA])
+        aliveB = ensB.alive[j]
+        rB, vB = ensB.states["r"][j][aliveB], ensB.states[coord][j][aliveB]
+        samA = {"r": rA, coord: vA, "gauge": gauge(rA, vA)}
+        samB = {"r": rB, coord: vB, "gauge": gauge(rB, vB)}
+        rec = _marginal_stats(samA, samB, ("r", coord, "gauge"))
+        rec.update(
+            _drop_stats(1.0 - float(np.mean(hitA)), 1.0 - float(np.mean(aliveB)), ensA.paths)
+        )
+        rec["samples"] = {"A": samA, "B": samB}
+        out[u] = rec
+    return out
+
+
 def pushforward_experiment_cayley(
     x0: tuple[float, float],
     u_grid: Sequence[float],
@@ -436,31 +454,7 @@ def pushforward_experiment_cayley(
     dropped-path fractions (route A: level never reached within the time
     budget; route B: absorbed).
     """
-    u_grid = sorted(float(u) for u in u_grid)
-    runA = replace(cfg, horizon=float(horizon_a))
-    ensA = sim_radial_h(
-        runA, x0=x0, clock="cayley", levels=u_grid, purpose=PURPOSE_MAIN
-    )
-    q0 = cayley1_chart(*x0)
-    runB = replace(cfg, horizon=float(max(u_grid)))
-    ensB = sim_hproc(runB, x0=(float(q0[0]), float(q0[1])), record_times=u_grid, purpose=PURPOSE_COMPARE)
-
-    out: dict = {"u_grid": u_grid, "paths": ensA.paths}
-    for j, u in enumerate(u_grid):
-        cross = ensA.crossings[u]
-        hitA = cross["hit"]
-        rsA, thA = cayley1_chart(cross["r"][hitA], cross["t"][hitA])
-        aliveB = ensB.alive[j]
-        rsB, thB = ensB.states["r"][j][aliveB], ensB.states["th"][j][aliveB]
-        samA = {"r": rsA, "th": thA, "gauge": h_tilde(rsA, thA)}
-        samB = {"r": rsB, "th": thB, "gauge": h_tilde(rsB, thB)}
-        rec = _marginal_stats(samA, samB, ("r", "th", "gauge"))
-        rec.update(
-            _drop_stats(1.0 - float(np.mean(hitA)), 1.0 - float(np.mean(aliveB)), ensA.paths)
-        )
-        rec["samples"] = {"A": samA, "B": samB}
-        out[u] = rec
-    return out
+    return _pushforward(x0, u_grid, cfg, horizon_a, "cayley", sim_hproc, cayley1_chart, h_tilde, "th")
 
 
 def pushforward_experiment_kelvin(
@@ -482,32 +476,10 @@ def pushforward_experiment_kelvin(
     """
     if orientation not in ("image", "preimage"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    u_grid = sorted(float(u) for u in u_grid)
-    clock = "kelvin_image" if orientation == "image" else "kelvin_preimage"
-    runA = replace(cfg, horizon=float(horizon_a))
-    ensA = sim_radial_h(
-        runA, x0=x0, clock=clock, levels=u_grid, purpose=PURPOSE_MAIN
+    out = _pushforward(
+        x0, u_grid, cfg, horizon_a, f"kelvin_{orientation}", sim_Nproc, kelvin_radial, koranyi_N, "t"
     )
-    y0 = kelvin_radial(*x0)
-    runB = replace(cfg, horizon=float(max(u_grid)))
-    ensB = sim_Nproc(runB, x0=(float(y0[0]), float(y0[1])), record_times=u_grid, purpose=PURPOSE_COMPARE)
-
-    out: dict = {"u_grid": u_grid, "orientation": orientation, "paths": ensA.paths}
-    for j, u in enumerate(u_grid):
-        cross = ensA.crossings[u]
-        hitA = cross["hit"]
-        rA, tA = kelvin_radial(cross["r"][hitA], cross["t"][hitA])
-        aliveB = ensB.alive[j]
-        rB, tB = ensB.states["r"][j][aliveB], ensB.states["t"][j][aliveB]
-        samA = {"r": rA, "t": tA, "gauge": koranyi_N(rA, tA)}
-        samB = {"r": rB, "t": tB, "gauge": koranyi_N(rB, tB)}
-        rec = _marginal_stats(samA, samB, ("r", "t", "gauge"))
-        rec.update(
-            _drop_stats(1.0 - float(np.mean(hitA)), 1.0 - float(np.mean(aliveB)), ensA.paths)
-        )
-        rec["samples"] = {"A": samA, "B": samB}
-        out[u] = rec
-    return out
+    return {"orientation": orientation, **out}
 
 
 # ---------------------------------------------------------------------------

@@ -27,19 +27,37 @@ Absorption thresholds of the conditioned processes:
   the gauge by O(n*step), so a much smaller threshold would be overshot
   forever and no path would ever register as absorbed.
 
-Absorbed paths freeze at the triggering state.  Every ensemble is built from
-fixed-width path blocks with per-block Philox streams
+One loop, ``_simulate``, steps every process.  It owns what all of them
+share: the record slots, the stop rule, the absorption freeze and death
+times, the trapezoid clock and its level crossings, the left-point time
+averages, and the assembly of the :class:`PathEnsemble`.  A process
+supplies three functions on a state dict of per-path arrays:
+
+* ``start(width)`` returns the start state of a block;
+* ``step(state, dw)`` returns a new state dict from one normal draw ``dw``
+  and leaves ``state`` unchanged;
+* ``absorb(state)``, for absorbing processes only, returns the mask of
+  paths inside the absorption region.  It may store values in the state
+  for the next step (:func:`sim_hproc` keeps the cosines of the new state).
+
+Each step runs in one order: draw, accumulate averages at the left point,
+``step``, freeze the absorbed paths (``np.copyto`` of their old recorded
+coordinates), ``absorb`` on the frozen state, clock and crossings, record.
+Absorbed paths thus freeze at the triggering state.  Every ensemble is
+built from fixed-width path blocks with per-block Philox streams
 (:mod:`heisenpaths.rng`), so outputs are bitwise identical for any worker
 count.
 
-Finished blocks stop early.  A block stops stepping once no path it keeps
-can change any output: its last record slot is written and, in clocked
-runs, every kept path has crossed every level; in absorbing runs, every
-kept path is dead.  Columns that the final block truncates never hold it
-open.  Whatever a block would compute after that point never reaches an
-output, and each block draws from its own stream, so stopping changes no
-output byte; it only skips the steps.  Time averages need every step up to
-the horizon, so a run that accumulates them never stops early.
+Finished blocks stop early.  Before drawing step ``k`` a block stops when
+``k`` has reached its last record slot, no time average is accumulating,
+every kept path has crossed every level and, in an absorbing run, no kept
+path is alive.
+Columns that the final block truncates never hold it open, and a run that
+records nothing and has no level, average or absorption draws nothing.
+Whatever a block would compute after that point never reaches an output,
+and each block draws from its own stream, so stopping changes no output
+byte; it only skips the steps.  Time averages need every step up to the
+horizon, so a run that accumulates them never stops early.
 
 The sphere-side steps (:func:`sim_radial_s`, :func:`sim_hproc`) are fused:
 each transcendental is evaluated once per step, and only what the drift
@@ -206,8 +224,8 @@ def _snap_slots(cfg: SimConfig, record_times: Sequence[float]) -> tuple[np.ndarr
     return times, slots
 
 
-def _run_blocked(cfg: SimConfig, purpose: int, kernel: Callable) -> dict[str, np.ndarray]:
-    """Run ``kernel(width, keep, rng) -> dict[str, array]`` over the block plan.
+def _run_blocked(cfg: SimConfig, purpose: int, kernel: Callable) -> dict:
+    """Run ``kernel(width, keep, rng) -> dict of arrays`` over the block plan.
 
     Kernels always simulate ``BLOCK_PATHS`` paths; the final block is
     truncated to its first ``keep`` paths afterwards, so path ``j`` of a run
@@ -272,20 +290,126 @@ def _hproc_drift(r, cr, th, ct, lo: float, hi: float, n: int):
     return ta, br, bth
 
 
-def _start_point(x0) -> tuple[float, float]:
+def _start_point(x0, sphere: bool) -> tuple[float, float]:
+    """A finite start ``(r, th)`` or ``(r, t)`` whose radial coordinate lies
+    in its domain: ``[0, pi/2)`` on the sphere, ``[0, inf)`` on the group."""
     a, b = float(x0[0]), float(x0[1])
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"start point must be finite, got ({a!r}, {b!r})")
+    if sphere and not 0 <= a < np.pi / 2:
+        raise ValueError("x0 radial coordinate must lie in [0, pi/2)")
+    if a < 0:
+        raise ValueError("x0 radial coordinate must be nonnegative")
     return a, b
 
 
-def _collect_crossings(flat: dict[str, np.ndarray], levels, names) -> dict[float, dict[str, np.ndarray]]:
-    out: dict[float, dict[str, np.ndarray]] = {}
-    for i, u in enumerate(levels):
-        rec = {name: flat.pop(f"cross{i}_{name}") for name in names}
-        rec["hit"] = flat.pop(f"cross{i}_hit").astype(bool)
-        out[float(u)] = rec
-    return out
+def _simulate(
+    cfg: SimConfig,
+    purpose: int,
+    record_times: Sequence[float],
+    coords: tuple[str, ...],
+    start: Callable,
+    step: Callable,
+    absorb: Callable | None = None,
+    noise: int = 2,
+    clock: str | None = None,
+    levels: Sequence[float] = (),
+    averages: Mapping[str, Callable] | None = None,
+    burn_steps: int = 0,
+) -> PathEnsemble:
+    """The stepping loop behind every simulator (see the module docstring).
+
+    ``coords`` names the state entries that are recorded, frozen and
+    interpolated, and the arguments, in order, of the clock factor and the
+    averaged functions.  Each step draws ``noise`` rows of normals.
+    """
+    times, slots = _snap_slots(cfg, record_times)
+    factor = CLOCKS[clock] if clock else None
+    averages = dict(averages or {})
+    dt, m = cfg.step, len(times)
+    last = max(slots, default=0)
+
+    def kernel(width, keep, rng):
+        s = start(width)
+        out = {c: np.empty((m,) + s[c].shape, dtype=s[c].dtype) for c in coords}
+        acc = {name: np.zeros(width) for name in averages}
+        hits = []  # kept columns of each level's hit mask (views)
+        pending = bool(levels)  # a kept path has a level left to cross
+        if absorb:
+            alive = np.ones(width, dtype=bool)
+            alive_kept = alive[:keep]  # view: follows the in-place updates
+            out["alive"] = np.empty((m, width), dtype=bool)
+            out["death_time"] = np.full(width, np.inf)
+        if factor:
+            A = np.zeros(width)
+            f_old = factor(*(s[c] for c in coords)) * np.ones(width)
+            out["clock"] = np.empty((m, width))
+            for i in range(len(levels)):
+                for c in coords + ("time",):
+                    out[i, c] = np.full(width, np.nan)
+                out[i, "hit"] = np.zeros(width, dtype=bool)
+                hits.append(out[i, "hit"][:keep])
+
+        def record(j):
+            for c in coords:
+                out[c][j] = s[c]
+            if absorb:
+                out["alive"][j] = alive
+            if factor:
+                out["clock"][j] = A
+
+        if 0 in slots:
+            record(slots[0])
+        for k in range(cfg.steps):
+            # past the last record slot, only averages, uncrossed levels and
+            # live paths can still change an output
+            if k >= last and not (averages or pending or (absorb and alive_kept.any())):
+                break
+            dw = rng.standard_normal((noise, width))
+            if k >= burn_steps:
+                for name, f in averages.items():
+                    acc[name] += f(*(s[c] for c in coords)) * dt
+            new = step(s, dw)
+            if absorb:
+                dead = ~alive
+                for c in coords:
+                    np.copyto(new[c], s[c], where=dead)
+                died = alive & absorb(new)
+                out["death_time"][died] = (k + 1) * dt
+                alive &= ~died
+            if factor:
+                f_new = factor(*(new[c] for c in coords))
+                A_new = A + 0.5 * dt * (f_old + f_new)
+                for i, u in enumerate(levels):
+                    hit = out[i, "hit"]
+                    cross = ~hit & (A_new >= u)
+                    if np.any(cross):
+                        lam = (u - A[cross]) / (A_new[cross] - A[cross])
+                        for c in coords:
+                            out[i, c][cross] = s[c][cross] + lam * (new[c][cross] - s[c][cross])
+                        out[i, "time"][cross] = (k + lam) * dt
+                        hit[cross] = True
+                        pending = not all(h.all() for h in hits)
+                A, f_old = A_new, f_new
+            s = new
+            if k + 1 in slots:
+                record(slots[k + 1])
+        span = (cfg.steps - burn_steps) * dt
+        for name in acc:
+            out["avg", name] = acc[name] / span
+        return out
+
+    flat = _run_blocked(cfg, purpose, kernel)
+    ens = PathEnsemble(times=times, states={c: flat[c] for c in coords})
+    if absorb:
+        ens.alive, ens.death_time = flat["alive"], flat["death_time"]
+    if factor:
+        ens.clock = flat["clock"]
+        ens.crossings = {
+            u: {c: flat[i, c] for c in coords + ("time", "hit")} for i, u in enumerate(levels)
+        }
+    ens.averages = {name: flat["avg", name] for name in averages}
+    return ens
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +429,6 @@ def sim_full_h(
     Records ``z`` (shape ``times x n x paths``) and ``t`` at the requested
     times; :func:`project_radial` reduces the result to ``(|z|, t)``.
     """
-    times, slots = _snap_slots(cfg, record_times)
     z0 = np.zeros(cfg.n, dtype=complex) if x0_z is None else np.asarray(x0_z, dtype=complex)
     if z0.shape != (cfg.n,):
         raise ValueError(f"x0_z must have shape ({cfg.n},)")
@@ -313,31 +436,16 @@ def sim_full_h(
         raise ValueError("start point must be finite")
     sq = np.sqrt(cfg.step)
     n = cfg.n
-    last = max(slots, default=0)
 
-    def kernel(width, keep, rng):
-        z = np.repeat(z0[:, None], width, axis=1)
-        t = np.full(width, float(x0_t))
-        snap_z = np.empty((len(times), n, width), dtype=complex)
-        snap_t = np.empty((len(times), width))
+    def start(width):
+        return {"z": np.repeat(z0[:, None], width, axis=1), "t": np.full(width, float(x0_t))}
 
-        def record(j):
-            snap_z[j] = z
-            snap_t[j] = t
+    def step(s, dw):
+        z = s["z"]
+        dz = sq * (dw[:n] + 1j * dw[n:])
+        return {"z": z + dz, "t": s["t"] + np.sum(z.real * dz.imag - z.imag * dz.real, axis=0)}
 
-        if 0 in slots:
-            record(slots[0])
-        for k in range(last):  # only record slots reach the output
-            dw = rng.standard_normal((2 * n, width))
-            dz = sq * (dw[:n] + 1j * dw[n:])
-            t = t + np.sum(z.real * dz.imag - z.imag * dz.real, axis=0)
-            z = z + dz
-            if k + 1 in slots:
-                record(slots[k + 1])
-        return {"z": snap_z, "t": snap_t}
-
-    flat = _run_blocked(cfg, purpose, kernel)
-    return PathEnsemble(times=times, states={"z": flat["z"], "t": flat["t"]})
+    return _simulate(cfg, purpose, record_times, ("z", "t"), start, step, noise=2 * n)
 
 
 def project_radial(ens: PathEnsemble) -> PathEnsemble:
@@ -382,76 +490,25 @@ def sim_radial_h(
     levels = sorted(float(u) for u in levels)
     if not all(0 < u < math.inf for u in levels):
         raise ValueError("clock levels must be positive and finite")
-    times, slots = _snap_slots(cfg, record_times)
-    factor = CLOCKS[clock] if clock else None
     dt, sq = cfg.step, np.sqrt(cfg.step)
     n = cfg.n
     cap = _drift_cap(cfg)
     guard = 0.5 * sq
-    r0, t0 = _start_point(x0)
-    if r0 < 0:
-        raise ValueError("x0 radial coordinate must be nonnegative")
-    last = max(slots, default=0)
+    r0, t0 = _start_point(x0, sphere=False)
 
-    def kernel(width, keep, rng):
-        r = np.full(width, r0)
-        t = np.full(width, t0)
-        m = len(times)
-        out = {"r": np.empty((m, width)), "t": np.empty((m, width))}
-        hits = []  # kept columns of each level's hit mask (views)
-        pending = bool(levels)  # a kept path has a level left to cross
-        if factor is not None:
-            A = np.zeros(width)
-            f_old = factor(r, t) * np.ones(width)
-            out["clock"] = np.empty((m, width))
-            for i in range(len(levels)):
-                out[f"cross{i}_r"] = np.full(width, np.nan)
-                out[f"cross{i}_t"] = np.full(width, np.nan)
-                out[f"cross{i}_time"] = np.full(width, np.nan)
-                out[f"cross{i}_hit"] = np.zeros(width, dtype=bool)
-                hits.append(out[f"cross{i}_hit"][:keep])
+    def start(width):
+        return {"r": np.full(width, r0), "t": np.full(width, t0)}
 
-        def record(j):
-            out["r"][j] = r
-            out["t"][j] = t
-            if factor is not None:
-                out["clock"][j] = A
+    def step(s, dw):
+        r = s["r"]
+        re = np.maximum(r, guard)
+        disp = np.clip((2 * n - 1) / (2.0 * re) * dt, -cap, cap)
+        return {
+            "r": np.maximum(np.abs(r + disp + sq * dw[0]), cfg.r_floor),
+            "t": s["t"] + r * sq * dw[1],
+        }
 
-        if 0 in slots:
-            record(slots[0])
-        for k in range(cfg.steps):
-            dw = rng.standard_normal((2, width))
-            re = np.maximum(r, guard)
-            disp = np.clip((2 * n - 1) / (2.0 * re) * dt, -cap, cap)
-            r_new = np.maximum(np.abs(r + disp + sq * dw[0]), cfg.r_floor)
-            t_new = t + r * sq * dw[1]
-            if factor is not None:
-                f_new = factor(r_new, t_new)
-                A_new = A + 0.5 * dt * (f_old + f_new)
-                for i, u in enumerate(levels):
-                    hit = out[f"cross{i}_hit"]
-                    cross = ~hit & (A_new >= u)
-                    if np.any(cross):
-                        lam = (u - A[cross]) / (A_new[cross] - A[cross])
-                        out[f"cross{i}_r"][cross] = r[cross] + lam * (r_new[cross] - r[cross])
-                        out[f"cross{i}_t"][cross] = t[cross] + lam * (t_new[cross] - t[cross])
-                        out[f"cross{i}_time"][cross] = (k + lam) * dt
-                        hit[cross] = True
-                        pending = not all(h.all() for h in hits)
-                A, f_old = A_new, f_new
-            r, t = r_new, t_new
-            if k + 1 in slots:
-                record(slots[k + 1])
-            if k + 1 >= last and not pending:
-                break
-        return out
-
-    flat = _run_blocked(cfg, purpose, kernel)
-    ens = PathEnsemble(times=times, states={"r": flat["r"], "t": flat["t"]})
-    if factor is not None:
-        ens.clock = flat["clock"]
-        ens.crossings = _collect_crossings(flat, levels, ("r", "t", "time"))
-    return ens
+    return _simulate(cfg, purpose, record_times, ("r", "t"), start, step, clock=clock, levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -471,56 +528,32 @@ def sim_radial_s(
     ``averages`` maps names to functions ``f(rs, th)`` accumulated as
     left-point time averages over ``(burn, horizon]``.
     """
-    times, slots = _snap_slots(cfg, record_times)
     burn_steps = int(round(burn / cfg.step))
     if not 0 <= burn_steps < cfg.steps:
         raise ValueError("burn must lie inside the horizon")
-    averages = dict(averages or {})
     dt, sq = cfg.step, np.sqrt(cfg.step)
     n = cfg.n
     cap = _drift_cap(cfg)
     guard = 0.5 * sq
     upper = np.pi / 2 - guard
     hi = np.pi / 2 - cfg.r_floor
-    r0, th0 = _start_point(x0)
-    if not 0 <= r0 < np.pi / 2:
-        raise ValueError("x0 radial coordinate must lie in [0, pi/2)")
-    # averages need every step; otherwise only record slots reach the output
-    stop = cfg.steps if averages else max(slots, default=0)
+    r0, th0 = _start_point(x0, sphere=True)
 
-    def kernel(width, keep, rng):
-        r = np.full(width, r0)
-        th = np.full(width, th0 % TWO_PI)
-        m = len(times)
-        out = {"r": np.empty((m, width)), "th": np.empty((m, width))}
-        acc = {name: np.zeros(width) for name in averages}
+    def start(width):
+        return {"r": np.full(width, r0), "th": np.full(width, th0 % TWO_PI)}
 
-        def record(j):
-            out["r"][j] = r
-            out["th"][j] = th
+    def step(s, dw):
+        r = s["r"]
+        ta = np.tan(np.minimum(np.maximum(r, guard), upper))
+        disp = _clip(0.5 * sphere_radial_drift_tan(ta, n) * dt, cap)
+        return {
+            "r": np.minimum(np.abs(r + disp + sq * dw[0]), hi),
+            "th": _wrap_angle(s["th"] + ta * sq * dw[1]),
+        }
 
-        if 0 in slots:
-            record(slots[0])
-        for k in range(stop):
-            dw = rng.standard_normal((2, width))
-            if k >= burn_steps:
-                for name, f in averages.items():
-                    acc[name] += f(r, th) * dt
-            ta = np.tan(np.minimum(np.maximum(r, guard), upper))
-            disp = _clip(0.5 * sphere_radial_drift_tan(ta, n) * dt, cap)
-            r = np.minimum(np.abs(r + disp + sq * dw[0]), hi)
-            th = _wrap_angle(th + ta * sq * dw[1])
-            if k + 1 in slots:
-                record(slots[k + 1])
-        span = (cfg.steps - burn_steps) * dt
-        for name in acc:
-            out[f"avg_{name}"] = acc[name] / span
-        return out
-
-    flat = _run_blocked(cfg, purpose, kernel)
-    ens = PathEnsemble(times=times, states={"r": flat["r"], "th": flat["th"]})
-    ens.averages = {name: flat[f"avg_{name}"] for name in averages}
-    return ens
+    return _simulate(
+        cfg, purpose, record_times, ("r", "th"), start, step, averages=averages, burn_steps=burn_steps
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +570,6 @@ def sim_hproc(
     factor; absorbed (and frozen) once the factor falls below
     ``absorb_floor_h``.
     """
-    times, slots = _snap_slots(cfg, record_times)
     dt, sq = cfg.step, np.sqrt(cfg.step)
     n = cfg.n
     cap = _drift_cap(cfg)
@@ -545,61 +577,29 @@ def sim_hproc(
     upper = np.pi / 2 - guard
     hi = np.pi / 2 - cfg.r_floor
     floor = cfg.absorb_floor_h
-    r0, th0 = _start_point(x0)
+    r0, th0 = _start_point(x0, sphere=True)
     if h_fun(r0, th0) <= floor:
         raise ValueError("x0 starts inside the absorption region")
-    last = max(slots, default=0)
 
-    def kernel(width, keep, rng):
-        r = np.full(width, r0)
-        th = np.full(width, th0 % TWO_PI)
-        alive = np.ones(width, dtype=bool)
-        alive_kept = alive[:keep]  # view: follows the in-place updates
-        death = np.full(width, np.inf)
-        m = len(times)
-        out = {
-            "r": np.empty((m, width)),
-            "th": np.empty((m, width)),
-            "alive": np.empty((m, width), dtype=bool),
+    def start(width):
+        r, th = np.full(width, r0), np.full(width, th0 % TWO_PI)
+        return {"r": r, "th": th, "cr": np.cos(r), "ct": np.cos(th)}
+
+    def step(s, dw):
+        r, th = s["r"], s["th"]
+        ta, br, bth = _hproc_drift(r, s["cr"], th, s["ct"], guard, upper, n)
+        return {
+            "r": np.minimum(np.abs(r + _clip(br * dt, cap) + sq * dw[0]), hi),
+            "th": _wrap_angle(th + _clip(bth * dt, cap) + ta * sq * dw[1]),
         }
 
-        def record(j):
-            out["r"][j] = r
-            out["th"][j] = th
-            out["alive"][j] = alive
+    def absorb(s):
+        # the cosines of the new state serve the absorption test now and
+        # the drift of the next step
+        s["cr"], s["ct"] = np.cos(s["r"]), np.cos(s["th"])
+        return h_fun_cos(s["cr"], s["ct"]) < floor
 
-        if 0 in slots:
-            record(slots[0])
-        cr, ct = np.cos(r), np.cos(th)
-        for k in range(cfg.steps):
-            dw = rng.standard_normal((2, width))
-            ta, br, bth = _hproc_drift(r, cr, th, ct, guard, upper, n)
-            r_new = np.minimum(np.abs(r + _clip(br * dt, cap) + sq * dw[0]), hi)
-            th_new = _wrap_angle(th + _clip(bth * dt, cap) + ta * sq * dw[1])
-            dead = ~alive
-            np.copyto(r_new, r, where=dead)
-            np.copyto(th_new, th, where=dead)
-            r, th = r_new, th_new
-            # the cosines of the new state serve the absorption test now
-            # and the drift of the next step
-            cr, ct = np.cos(r), np.cos(th)
-            died = alive & (h_fun_cos(cr, ct) < floor)
-            death[died] = (k + 1) * dt
-            alive &= ~died
-            if k + 1 in slots:
-                record(slots[k + 1])
-            if k + 1 >= last and not alive_kept.any():
-                break
-        out["death_time"] = death
-        return out
-
-    flat = _run_blocked(cfg, purpose, kernel)
-    return PathEnsemble(
-        times=times,
-        states={"r": flat["r"], "th": flat["th"]},
-        alive=flat["alive"].astype(bool),
-        death_time=flat["death_time"],
-    )
+    return _simulate(cfg, purpose, record_times, ("r", "th"), start, step, absorb)
 
 
 def sim_Nproc(
@@ -610,59 +610,28 @@ def sim_Nproc(
 ) -> PathEnsemble:
     """Heisenberg radial diffusion conditioned to avoid the origin; absorbed
     (and frozen) once the quartic gauge falls below ``absorb_floor_N``."""
-    times, slots = _snap_slots(cfg, record_times)
     dt, sq = cfg.step, np.sqrt(cfg.step)
     n = cfg.n
     cap = _drift_cap(cfg)
     guard = 0.5 * sq
     floor = cfg.absorb_floor_N
-    r0, t0 = _start_point(x0)
+    r0, t0 = _start_point(x0, sphere=False)
     if koranyi_N(r0, t0) <= floor:
         raise ValueError("x0 starts inside the absorption region")
-    last = max(slots, default=0)
 
-    def kernel(width, keep, rng):
-        r = np.full(width, r0)
-        t = np.full(width, t0)
-        alive = np.ones(width, dtype=bool)
-        alive_kept = alive[:keep]  # view: follows the in-place updates
-        death = np.full(width, np.inf)
-        m = len(times)
-        out = {
-            "r": np.empty((m, width)),
-            "t": np.empty((m, width)),
-            "alive": np.empty((m, width), dtype=bool),
+    def start(width):
+        return {"r": np.full(width, r0), "t": np.full(width, t0)}
+
+    def step(s, dw):
+        r, t = s["r"], s["t"]
+        re = np.maximum(r, guard)
+        br, bt = drift_Nproc((re, t), n)
+        return {
+            "r": np.maximum(np.abs(r + np.clip(br * dt, -cap, cap) + sq * dw[0]), cfg.r_floor),
+            "t": t + np.clip(bt * dt, -cap, cap) + r * sq * dw[1],
         }
 
-        def record(j):
-            out["r"][j] = r
-            out["t"][j] = t
-            out["alive"][j] = alive
+    def absorb(s):
+        return koranyi_N(s["r"], s["t"]) < floor
 
-        if 0 in slots:
-            record(slots[0])
-        for k in range(cfg.steps):
-            dw = rng.standard_normal((2, width))
-            re = np.maximum(r, guard)
-            br, bt = drift_Nproc((re, t), n)
-            r_new = np.maximum(np.abs(r + np.clip(br * dt, -cap, cap) + sq * dw[0]), cfg.r_floor)
-            t_new = t + np.clip(bt * dt, -cap, cap) + r * sq * dw[1]
-            r = np.where(alive, r_new, r)
-            t = np.where(alive, t_new, t)
-            died = alive & (koranyi_N(r, t) < floor)
-            death[died] = (k + 1) * dt
-            alive &= ~died
-            if k + 1 in slots:
-                record(slots[k + 1])
-            if k + 1 >= last and not alive_kept.any():
-                break
-        out["death_time"] = death
-        return out
-
-    flat = _run_blocked(cfg, purpose, kernel)
-    return PathEnsemble(
-        times=times,
-        states={"r": flat["r"], "t": flat["t"]},
-        alive=flat["alive"].astype(bool),
-        death_time=flat["death_time"],
-    )
+    return _simulate(cfg, purpose, record_times, ("r", "t"), start, step, absorb)

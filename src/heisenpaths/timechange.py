@@ -17,8 +17,13 @@ path):
   *wrong* law and is kept as a negative control.
 
 The dense per-grid clocks here complement the streaming crossing records of
-:mod:`heisenpaths.sde` (which interpolate within one fine step); on the same
-record grid the two accumulations agree bitwise.
+:mod:`heisenpaths.sde` (which interpolate within one fine step).  Both take
+their factors from :data:`heisenpaths.sde.CLOCKS`.  On the same record grid
+the two accumulations agree to machine precision, not bitwise: the dense
+clock takes each ``dt`` from differencing the record times, which can
+differ from the simulator's step by an ulp.  Recording every step of 256
+Cayley-clocked paths (step 2e-3), the two differ by up to 1.7e-16 in the
+clock and 6.7e-16 in the interpolated ``r``.
 """
 
 from __future__ import annotations
@@ -27,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, H_fun, koranyi_N
+from .geometry import TWO_PI
 from .numdiff import unwrap_angle
-from .sde import PathEnsemble
+from .sde import CLOCKS, PathEnsemble
 
 __all__ = [
     "Clock",
@@ -85,7 +90,7 @@ def accumulate_clock(times, factor_values) -> np.ndarray:
 def clock_cayley(ens: PathEnsemble) -> Clock:
     """Chart clock along a Heisenberg radial ensemble: running integral of
     the Heisenberg-side conformal factor, evaluated on the record grid."""
-    fac = H_fun(ens.states["r"], ens.states["t"])
+    fac = CLOCKS["cayley"](ens.states["r"], ens.states["t"])
     return Clock(ens.times, accumulate_clock(ens.times, fac))
 
 
@@ -97,13 +102,9 @@ def clock_kelvin(ens: PathEnsemble, orientation: str = "image") -> Clock:
     ``"preimage"`` integrates ``N`` itself and is kept only as a negative
     control for the law comparison.
     """
-    N = koranyi_N(ens.states["r"], ens.states["t"])
-    if orientation == "image":
-        fac = 1.0 / np.maximum(N, 1e-300)
-    elif orientation == "preimage":
-        fac = N
-    else:
+    if orientation not in ("image", "preimage"):
         raise ValueError(f"unknown orientation {orientation!r}")
+    fac = CLOCKS[f"kelvin_{orientation}"](ens.states["r"], ens.states["t"])
     return Clock(ens.times, accumulate_clock(ens.times, fac))
 
 

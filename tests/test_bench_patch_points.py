@@ -1,17 +1,27 @@
-"""The names ``bench/tracer.py`` patches must exist where it patches them.
+"""The names ``bench/tracer.py`` patches must exist where it patches them,
+and the set-up probe of ``bench/child.py`` must run every workload.
 
 The tracer wraps functions by name in the modules that call them, so a
 refactor that drops one of those imports would make ``bench/run.py --trace
-1`` crash.  This reads the tracer's name tables; it changes nothing under
-``bench/``.
+1`` crash.  The set-up probe stubs every ``cli._drive_*`` function and
+``sde.stream``, so a dispatch through a table captured at import would reach
+the simulator and fail the probe.  These tests read ``bench/``; they change
+nothing there.
 """
 
+import ast
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from heisenpaths import analysis, cli, sde
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -34,3 +44,25 @@ def test_tracer_patch_points_resolve():
     # each simulator must be reachable where the tracer wraps it
     missing += [name for name in tracer.SIMULATORS if not (hasattr(cli, name) or hasattr(analysis, name))]
     assert not missing
+
+
+def bench_workloads() -> dict:
+    """``WORKLOADS`` of ``bench/run.py``, read from its source: importing it
+    needs ``bench/`` on the path."""
+    tree = ast.parse((ROOT / "bench" / "run.py").read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "WORKLOADS" for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/run.py defines no WORKLOADS")
+
+
+@pytest.mark.parametrize("workload", sorted(bench_workloads()))
+def test_bench_setup_probe_exits_zero(workload, tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["bench/child.py", "setup", *bench_workloads()[workload],
+            "--seed", "1", "--workers", "1", "--out", str(tmp_path / "out")]
+    proc = subprocess.run(
+        [sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -77,6 +77,19 @@ def test_bad_start_point_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "target, x0_r",
+    [("hproc", "2.0"), ("hproc", "-0.5"), ("nproc", "-1"), ("radial-s", "2.0"), ("radial-h", "-1")],
+)
+def test_start_radius_outside_domain_is_config_error(tmp_path, capsys, target, x0_r):
+    # [0, pi/2) on the sphere side, [0, inf) on the Heisenberg side
+    out = tmp_path / "o"
+    argv = ["simulate", target, "paths=8", "horizon=0.01", f"x0_r={x0_r}", "--out", str(out)]
+    assert main(argv) == 2
+    assert "x0 radial coordinate" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, bad",
     [
         ("simulate radial-h", "horizon=inf"),
