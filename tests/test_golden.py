@@ -11,7 +11,10 @@ image), an absorbing ensemble that dies out before its horizon
 (``tdist-absorbed``) and record times on every simulator.  The ``-equator``
 runs start the sphere processes beyond the upper guard clip of the radial
 coordinate (``x0_r=1.55``); the ``-wrap`` runs start the angle just below
-``2*pi`` (``x0_t=6.28``), so it wraps in both directions.  Digests depend
+``2*pi`` (``x0_t=6.28``), so it wraps in both directions.  The
+``-chunks`` runs write 18,700 CSV rows, more than one formatting chunk
+with a partial last one; the ``hproc`` one has absorbed and surviving
+rows on both sides of each chunk boundary.  Digests depend
 on numpy's Philox stream and on the platform's floating point; a numpy
 upgrade that changes them is a contract change too.
 """
@@ -65,10 +68,19 @@ RUNS = {
         ["simulate", "full-h", "n=2", "paths=4", "horizon=0.02", "step=2e-3"],
         0, "6862c6dd68fb809209da605c3c75d50e0dd00083d7c58f5c97c28ac37738636c",
     ),
+    "full-h-chunks": (
+        ["simulate", "full-h", "n=2", "paths=1700", "horizon=0.05", "step=5e-3"],
+        0, "64cc6c2a40f8089e882f62026cf003a62b64487279377335b54cf0205549dd63",
+    ),
     "hproc": (
         ["simulate", "hproc", "paths=32", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
          "x0_r=0.2", "x0_t=2.5", "record=0,0.5,1"],
         0, "eb50744f1cb8f2464789038c7af262ea33d919610be46905ff6437301dbb2ae5",
+    ),
+    "hproc-chunks": (
+        ["simulate", "hproc", "paths=1700", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
+         "x0_r=0.2", "x0_t=2.5"],
+        0, "7e8e8c1ab6124194131b994bb4099a5553176f1b55e8d7e480830f13e838a1a8",
     ),
     "hproc-equator": (
         ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
