@@ -13,9 +13,13 @@ directory:
   named check;
 * data CSVs (schemas in the README): header row, fixed column order,
   17-significant-digit floats;
-* ``run.log`` — timestamp and invocation echo.  The log is the only file
-  with wall-clock content, so manifest and CSVs are byte-identical across
-  reruns with the same config and seed, for any worker count.
+* ``run.log`` — timestamp, invocation echo and phase timings.  The log is
+  the only file with wall-clock content, so manifest and CSVs are
+  byte-identical across reruns with the same config and seed, for any
+  worker count.
+
+Each file is written to a temporary name and renamed into place, so it
+appears whole or not at all.
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 usage or
 config error (including an output path whose parent directory is missing),
@@ -271,10 +275,42 @@ def _manifest_lines(command, cfg, records: list[CheckRecord], extra: dict) -> li
     return [f"{k} = {rows[k]}\n" for k in sorted(rows)]
 
 
-def _csv_lines(header: list[str], rows) -> list[str]:
+# rows per formatted chunk: bounds the Python objects alive at once
+CSV_CHUNK_ROWS = 4096
+
+# CSV template field per column kind: same text as ``_fmt`` per value
+_CSV_FIELDS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+
+
+def _csv_field(name: str, col: np.ndarray) -> str:
+    # an object column (from a Python sequence) takes the kind of its values
+    kinds = {np.asarray(v).dtype.kind for v in col.tolist()} if col.dtype.kind == "O" else {col.dtype.kind}
+    if len(kinds) > 1:
+        raise TypeError(f"CSV column {name!r} mixes value kinds {sorted(kinds)}")
+    kind = kinds.pop() if kinds else "U"
+    if kind not in _CSV_FIELDS:
+        raise TypeError(f"CSV column {name!r} has unsupported values ({col.dtype})")
+    return _CSV_FIELDS[kind]
+
+
+def _csv_chunks(header: list[str], columns) -> list[str]:
+    """CSV text: the header line, then the rows of ``columns`` (one 1-D array
+    or sequence per header name) in chunks of ``CSV_CHUNK_ROWS`` rows.
+
+    One row template serves every row, with a field per column: ``%d`` for
+    integers, ``%.17g`` for floats and ``%s`` for strings, so each value
+    prints as ``_fmt`` prints it.  A column that mixes these kinds, or holds
+    anything else (booleans included), is an error."""
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} CSV header names for {len(columns)} columns")
+    cols = [c if isinstance(c, np.ndarray) else np.asarray(c, dtype=object) for c in columns]
+    if any(c.ndim != 1 for c in cols) or len({len(c) for c in cols}) > 1:
+        raise ValueError("CSV columns must be 1-D and of one length")
+    template = ",".join(_csv_field(name, c) for name, c in zip(header, cols)) + "\n"
     out = [",".join(header) + "\n"]
-    for row in rows:
-        out.append(",".join(_fmt(v) for v in row) + "\n")
+    for lo in range(0, len(cols[0]) if cols else 0, CSV_CHUNK_ROWS):
+        part = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in cols]
+        out.append("".join(map(template.__mod__, zip(*part))))
     return out
 
 
@@ -283,7 +319,8 @@ class RunWriter:
 
     The output directory itself is created if missing, but a missing parent
     is a config error: the caller pointed the run somewhere that does not
-    exist.
+    exist.  Each file is written to a temporary name in the output
+    directory and renamed into place, so none is ever left half written.
     """
 
     def __init__(self, out_dir: str):
@@ -298,9 +335,19 @@ class RunWriter:
 
     def flush(self):
         os.makedirs(self.out_dir, exist_ok=True)
-        for name, lines in sorted(self.files.items()):
-            with open(os.path.join(self.out_dir, name), "w", encoding="utf-8", newline="") as fh:
-                fh.writelines(lines)
+        names = sorted(self.files)
+        tmp = {name: os.path.join(self.out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
+        try:
+            for name in names:
+                with open(tmp[name], "w", encoding="utf-8", newline="") as fh:
+                    fh.writelines(self.files[name])
+            for name in names:
+                os.replace(tmp[name], os.path.join(self.out_dir, name))
+        except OSError:
+            for path in tmp.values():
+                if os.path.lexists(path):
+                    os.remove(path)
+            raise
 
 
 def _apply_tol(records: list[CheckRecord], tol: dict[str, float]) -> list[CheckRecord]:
@@ -314,7 +361,8 @@ def _apply_tol(records: list[CheckRecord], tol: dict[str, float]) -> list[CheckR
 
 
 # ---------------------------------------------------------------------------
-# command drivers (each returns manifest records + data files)
+# command drivers (each returns manifest records, manifest extras and data
+# files as {name: (header, columns)}; ``main`` formats the CSVs)
 
 
 def _drive_verify(sub: str, cfg: dict, tol: dict) -> tuple[list[CheckRecord], dict, dict]:
@@ -332,6 +380,18 @@ def _drive_verify(sub: str, cfg: dict, tol: dict) -> tuple[list[CheckRecord], di
     return _apply_tol(records, tol), extra, {}
 
 
+def _sample_columns(rep: dict, coord: str) -> list[np.ndarray]:
+    """Columns ``u, route, r, <coord>, gauge`` of a pushforward report: for
+    each level in ``u_grid``, its route A samples, then its route B ones."""
+    parts = [(u, route, rep[u]["samples"][route]) for u in rep["u_grid"] for route in ("A", "B")]
+    sizes = [len(sam["r"]) for _, _, sam in parts]
+    return [
+        np.repeat([u for u, _, _ in parts], sizes),
+        np.repeat([route for _, route, _ in parts], sizes),
+        *(np.concatenate([sam[name] for _, _, sam in parts]) for name in ("r", coord, "gauge")),
+    ]
+
+
 def _drive_cayley(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
     sim = _sim_config(cfg)
     rep = pushforward_experiment_cayley(
@@ -339,7 +399,6 @@ def _drive_cayley(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
     )
     records: list[CheckRecord] = []
     extra: dict = {}
-    rows = []
     for j, u in enumerate(rep["u_grid"]):
         rec = rep[u]
         tag = f"cayley_u{j}"
@@ -351,11 +410,7 @@ def _drive_cayley(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
         records.append(CheckRecord(f"{tag}_drop_gap", rec["drop_gap"], rec["drop_tol"]))
         extra[f"result.{tag}_dropA"] = rec["dropA"]
         extra[f"result.{tag}_dropB"] = rec["dropB"]
-        for route in ("A", "B"):
-            sam = rec["samples"][route]
-            for r_, th_, g_ in zip(sam["r"], sam["th"], sam["gauge"]):
-                rows.append((u, route, r_, th_, g_))
-    files = {"samples.csv": _csv_lines(["u", "route", "r", "theta", "gauge"], rows)}
+    files = {"samples.csv": (["u", "route", "r", "theta", "gauge"], _sample_columns(rep, "th"))}
     return records, extra, files
 
 
@@ -369,7 +424,6 @@ def _drive_kelvin(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
         rep = pushforward_experiment_kelvin(
             x0, cfg["u_grid"], sim, orientation=orientation, horizon_a=cfg["horizon_a"]
         )
-        rows = []
         for j, u in enumerate(rep["u_grid"]):
             rec = rep[u]
             tag = f"kelvin_{orientation}_u{j}"
@@ -390,12 +444,8 @@ def _drive_kelvin(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
                     "FAIL (expected: negative control)" if not law_ok else "PASS (unexpected)"
                 )
                 extra[f"result.{tag}_ks_r"] = rec["ks_r"]
-            for route in ("A", "B"):
-                sam = rec["samples"][route]
-                for r_, t_, g_ in zip(sam["r"], sam["t"], sam["gauge"]):
-                    rows.append((u, route, r_, t_, g_))
-        files[f"samples_{orientation}.csv"] = _csv_lines(
-            ["u", "route", "r", "t", "gauge"], rows
+        files[f"samples_{orientation}.csv"] = (
+            ["u", "route", "r", "t", "gauge"], _sample_columns(rep, "t")
         )
     return records, extra, files
 
@@ -409,12 +459,13 @@ def _drive_tdist(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
         CheckRecord("tdist_s0_exact", abs(float(curve.s_hat[curve.ts == 0.0][0]) - 1.0) if np.any(curve.ts == 0.0) else 0.0, 0.0),
     ]
     extra = {"result.capped_mass": curve.capped_mass}
-    rows = [
-        (t, s, se, e, abs(e - (1.0 - s)) if t > 0 else 0.0)
-        for t, s, se, e in zip(curve.ts, curve.s_hat, curve.se, rep["ecdf"])
-    ]
+    ecdf = rep["ecdf"]
+    gap = np.where(curve.ts > 0, np.abs(ecdf - (1.0 - curve.s_hat)), 0.0)
     files = {
-        "survival.csv": _csv_lines(["t", "s_hat", "se", "absorb_ecdf", "gap"], rows)
+        "survival.csv": (
+            ["t", "s_hat", "se", "absorb_ecdf", "gap"],
+            [curve.ts, curve.s_hat, curve.se, ecdf, gap],
+        )
     }
     return records, extra, files
 
@@ -448,9 +499,9 @@ def _drive_semigroup(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
         )
     )
     files = {
-        "semigroup.csv": _csv_lines(
+        "semigroup.csv": (
             ["side", "func", "t", "conditioned", "conditioned_se", "weighted", "weighted_se", "gap", "tol"],
-            rows,
+            list(zip(*rows)),
         )
     }
     return records, {}, files
@@ -466,19 +517,14 @@ def _drive_simulate(sub: str, cfg: dict) -> tuple[list[CheckRecord], dict, dict]
     record = cfg["record"] or _default_record(sim)
     if sub == "full-h":
         ens = sim_full_h(sim, x0_t=cfg["x0_t"], record_times=record)
-        z, t = ens.states["z"], ens.states["t"]
-        header = ["path", "time"]
+        z = ens.states["z"]
+        header, columns = [], []
         for j in range(sim.n):
+            zj = z[:, j, :].T.ravel()
             header += [f"z{j + 1}_re", f"z{j + 1}_im"]
+            columns += [zj.real, zj.imag]
         header.append("t")
-        rows = []
-        for p in range(ens.paths):
-            for i, tm in enumerate(ens.times):
-                row = [p, tm]
-                for j in range(sim.n):
-                    row += [z[i, j, p].real, z[i, j, p].imag]
-                row.append(t[i, p])
-                rows.append(tuple(row))
+        columns.append(ens.states["t"].T.ravel())
     else:
         runner = {
             "radial-h": (sim_radial_h, ("r", "t")),
@@ -489,25 +535,24 @@ def _drive_simulate(sub: str, cfg: dict) -> tuple[list[CheckRecord], dict, dict]
         fn, names = runner
         ens = fn(sim, x0=(cfg["x0_r"], cfg["x0_t"]), record_times=record)
         pretty = {"r": "r", "t": "t", "th": "theta"}
-        header = ["path", "time"] + [pretty[nm] for nm in names]
-        absorbing = ens.alive is not None
-        if absorbing:
+        header = [pretty[nm] for nm in names]
+        columns = [ens.states[nm].T.ravel() for nm in names]
+        if ens.alive is not None:
             header += ["absorbed", "absorption_time"]
-        rows = []
-        a, b = ens.states[names[0]], ens.states[names[1]]
-        for p in range(ens.paths):
-            for i, tm in enumerate(ens.times):
-                row = [p, tm, a[i, p], b[i, p]]
-                if absorbing:
-                    row += [int(not ens.alive[i, p]), ens.death_time[p]]
-                rows.append(tuple(row))
+            columns += [
+                (~ens.alive).T.ravel().astype(np.int8),
+                np.repeat(ens.death_time, len(ens.times)),
+            ]
+    # one row per (path, record time), path-major
+    header = ["path", "time"] + header
+    columns = [np.repeat(np.arange(ens.paths), len(ens.times)), np.tile(ens.times, ens.paths)] + columns
     extra = {
         "result.paths": ens.paths,
         "result.record_times": len(ens.times),
     }
     if ens.alive is not None:
         extra["result.absorbed_fraction"] = float(np.mean(~ens.alive[-1]))
-    return [], extra, {"paths.csv": _csv_lines(header, rows)}
+    return [], extra, {"paths.csv": (header, columns)}
 
 
 # ---------------------------------------------------------------------------
@@ -559,7 +604,7 @@ def main(argv=None) -> int:
         _sim_config(cfg)  # every command shares the simulation keys: validate up front
         writer = RunWriter(cfg["out"])
 
-        t0 = time.time()
+        t0 = time.perf_counter()
         if command[0] == "verify":
             records, extra, files = _drive_verify(command[1], cfg, tol)
         elif command == ("experiment", "cayley"):
@@ -572,15 +617,17 @@ def main(argv=None) -> int:
             records, extra, files = _drive_semigroup(cfg)
         else:
             records, extra, files = _drive_simulate(command[1], cfg)
-        elapsed = time.time() - t0
+        t1 = time.perf_counter()
     except ValueError as e:
         # library preconditions (bad start point, bad grid, ...) are config
         # errors from the runner's point of view
         print(f"config error: {e}", file=sys.stderr)
         return 2
+    csvs = {name: _csv_chunks(header, columns) for name, (header, columns) in files.items()}
+    t2 = time.perf_counter()
 
     writer.add("manifest.txt", _manifest_lines(command, cfg, records, extra))
-    for name, lines in files.items():
+    for name, lines in csvs.items():
         writer.add(name, lines)
     writer.add(
         "run.log",
@@ -589,7 +636,9 @@ def main(argv=None) -> int:
             f"command {' '.join(command)}\n",
             f"version {__version__}\n",
             f"workers {cfg['workers']}\n",
-            f"elapsed_s {elapsed:.3f}\n",
+            f"elapsed_s {t2 - t0:.3f}\n",
+            f"phase.drive_s {t1 - t0:.3f}\n",
+            f"phase.format_s {t2 - t1:.3f}\n",
         ],
     )
     try:

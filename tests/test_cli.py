@@ -4,7 +4,7 @@ reproducibility."""
 import numpy as np
 import pytest
 
-from heisenpaths.cli import main
+from heisenpaths.cli import CSV_CHUNK_ROWS, _csv_chunks, _fmt, main
 
 
 def read_manifest(path):
@@ -242,6 +242,64 @@ def test_tdist_survival_csv_starts_at_one(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# CSV formatting
+
+
+def reference_csv(header, columns):
+    """Row-by-row text, ``_fmt`` per value: what the column formatter must
+    reproduce byte for byte."""
+    lines = [",".join(header) + "\n"]
+    for row in zip(*columns):
+        lines.append(",".join(_fmt(v) for v in row) + "\n")
+    return "".join(lines)
+
+
+EDGE_FLOATS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308, 0.1]
+
+
+@pytest.mark.parametrize(
+    "rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]
+)
+def test_csv_chunks_match_fmt_per_value(rows):
+    rng = np.random.default_rng(rows)
+    edge = np.resize(np.array(EDGE_FLOATS), rows)
+    spread = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    columns = [
+        np.arange(rows, dtype=np.int64) - rows // 2,        # numpy int64
+        [2**62 - i for i in range(rows)],                   # Python int
+        (np.arange(rows) % 2).astype(np.int8),              # small ints
+        edge,                                               # float64 edge values
+        spread,                                             # float64 across exponents
+        [float(v) for v in spread[::-1]],                   # Python float
+        np.resize(np.array(["A", "B"]), rows),              # numpy str
+        [("sphere", "heis")[i % 2] for i in range(rows)],   # Python str
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    chunks = _csv_chunks(header, columns)
+    assert len(chunks) == 1 + -(-rows // CSV_CHUNK_ROWS)
+    got, want = "".join(chunks), reference_csv(header, columns)
+    if got != want:
+        # name the first differing line: a diff of the whole text is slow
+        pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        line, g, w = next((i, g, w) for i, (g, w) in enumerate(pairs) if g != w)
+        pytest.fail(f"line {line}: {g!r} != {w!r}")
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[1, 2.5], ["a", 1.0], np.array([1, "a"], dtype=object), [True, 1], np.array([True, False])],
+)
+def test_csv_chunks_reject_mixed_or_boolean_columns(column):
+    with pytest.raises(TypeError):
+        _csv_chunks(["x"], [column])
+
+
+def test_csv_chunks_reject_ragged_columns():
+    with pytest.raises(ValueError):
+        _csv_chunks(["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
+# ---------------------------------------------------------------------------
 # experiments through the runner
 
 
@@ -294,6 +352,33 @@ def test_byte_identity_across_reruns_and_workers(tmp_path):
         assert (c / name).read_bytes() == ref
     # the log carries the wall clock and worker count and may differ
     assert (a / "run.log").exists()
+
+
+def test_run_log_reports_phase_timings(tmp_path):
+    out = tmp_path / "o"
+    assert main(["simulate", "radial-h", "--out", str(out), "paths=16", "horizon=0.02",
+                 "step=2e-3"]) == 0
+    log = dict(line.split(" ", 1) for line in (out / "run.log").read_text().splitlines())
+    drive, fmt, total = (float(log[k]) for k in ("phase.drive_s", "phase.format_s", "elapsed_s"))
+    assert drive >= 0.0 and fmt >= 0.0
+    # each printed to the millisecond
+    assert abs(total - drive - fmt) <= 0.0015
+
+
+def test_write_failure_exits_3_and_leaves_no_partial_file(tmp_path, capsys):
+    argv = ["simulate", "radial-h", "paths=16", "horizon=0.02", "step=2e-3"]
+    ref = tmp_path / "ref"
+    assert main(argv + ["--out", str(ref)]) == 0
+    out = tmp_path / "o"
+    (out / "paths.csv").mkdir(parents=True)
+    assert main(argv + ["--out", str(out)]) == 3
+    assert "i/o error" in capsys.readouterr().err
+    assert (out / "paths.csv").is_dir() and not any((out / "paths.csv").iterdir())
+    left = [p for p in out.iterdir() if p.name != "paths.csv"]
+    assert not [p.name for p in left if p.name.endswith(".tmp")]
+    # any file that did land is whole: byte-equal to a clean run's
+    for p in left:
+        assert p.name != "run.log" and p.read_bytes() == (ref / p.name).read_bytes()
 
 
 def test_seed_changes_output(tmp_path):
