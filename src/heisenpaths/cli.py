@@ -283,8 +283,10 @@ _CSV_FIELDS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
 
 
 def _csv_field(name: str, col: np.ndarray) -> str:
-    # an object column (from a Python sequence) takes the kind of its values
-    kinds = {np.asarray(v).dtype.kind for v in col.tolist()} if col.dtype.kind == "O" else {col.dtype.kind}
+    kinds = {col.dtype.kind}
+    if col.dtype.kind == "O":
+        # a column built from a Python sequence takes the kind of its values
+        kinds = {np.asarray(v).dtype.kind for v in col.tolist()}
     if len(kinds) > 1:
         raise TypeError(f"CSV column {name!r} mixes value kinds {sorted(kinds)}")
     kind = kinds.pop() if kinds else "U"
@@ -545,7 +547,8 @@ def _drive_simulate(sub: str, cfg: dict) -> tuple[list[CheckRecord], dict, dict]
             ]
     # one row per (path, record time), path-major
     header = ["path", "time"] + header
-    columns = [np.repeat(np.arange(ens.paths), len(ens.times)), np.tile(ens.times, ens.paths)] + columns
+    paths, times = np.arange(ens.paths), ens.times
+    columns = [np.repeat(paths, len(times)), np.tile(times, ens.paths)] + columns
     extra = {
         "result.paths": ens.paths,
         "result.record_times": len(ens.times),
