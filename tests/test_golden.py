@@ -1,5 +1,5 @@
 """Golden output bytes: SHA-256 of ``manifest.txt`` plus every CSV for small
-fixed runs of each experiment and simulate command, at seed 1.
+fixed runs of each verify, experiment and simulate command, at seed 1.
 
 The pinned digests guard the reproducibility contract across refactors and
 speed-ups of the simulators: a change that alters any of these bytes must
@@ -14,7 +14,9 @@ coordinate (``x0_r=1.55``); the ``-wrap`` runs start the angle just below
 ``2*pi`` (``x0_t=6.28``), so it wraps in both directions.  The
 ``-chunks`` runs write 18,700 CSV rows, more than one formatting chunk
 with a partial last one; the ``hproc`` one has absorbed and surviving
-rows on both sides of each chunk boundary.  Digests depend
+rows on both sides of each chunk boundary.  The two ``verify`` runs write
+no CSV: they pin the manifest's config echo and check records, with every
+tolerance at its default.  Digests depend
 on numpy's Philox stream and on the platform's floating point; a numpy
 upgrade that changes them is a contract change too.
 """
@@ -27,6 +29,14 @@ from heisenpaths.cli import main
 
 # name -> (argv, exit code, SHA-256 of manifest.txt and CSVs)
 RUNS = {
+    "verify-geometry": (
+        ["verify", "geometry"],
+        0, "b5c55be25c0dafb3c7fbc4248e323320bfff2e6464885242aa5e86c70273a953",
+    ),
+    "verify-operators": (
+        ["verify", "operators"],
+        0, "18150356ddaa0c31c68f29ae877823dcac2afee51bf644165fe573a35feb9018",
+    ),
     "cayley": (
         ["experiment", "cayley", "paths=4196", "step=2e-3", "u_grid=0.1,0.3", "horizon_a=1"],
         0, "c007dc5508601340de50235288dfd45d72386efb69467e33c2532db74cd655e5",
