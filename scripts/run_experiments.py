@@ -9,10 +9,12 @@ import argparse
 import pathlib
 import sys
 
+from heisenpaths.cli import COMMANDS
 from heisenpaths.cli import main as cli
 
 
-def run(root: pathlib.Path, label: str, args: list[str]) -> int:
+def run(root: pathlib.Path, command: tuple[str, str], common: list[str]) -> int:
+    label, args = "-".join(command), [*command, *common]
     out = root / label
     print(f"== {label}: heisenpaths {' '.join(args)}")
     code = cli(args + ["--out", str(out)])
@@ -31,15 +33,7 @@ def main() -> int:
     root.mkdir(parents=True, exist_ok=True)
     common = [f"paths={ns.paths}", f"seed={ns.seed}"]
 
-    jobs = [
-        ("verify-geometry", ["verify", "geometry"] + common),
-        ("verify-operators", ["verify", "operators"] + common),
-        ("experiment-cayley", ["experiment", "cayley"] + common),
-        ("experiment-kelvin", ["experiment", "kelvin"] + common),
-        ("experiment-tdist", ["experiment", "tdist"] + common),
-        ("experiment-semigroup", ["experiment", "semigroup"] + common),
-    ]
-    codes = {label: run(root, label, args) for label, args in jobs}
+    codes = {"-".join(c): run(root, c, common) for c in COMMANDS if c[0] != "simulate"}
     bad = {k: v for k, v in codes.items() if v != 0}
     if bad:
         print(f"failures: {bad}")

@@ -98,17 +98,8 @@ def _parse_str(s: str) -> str:
     return s
 
 
-SIM_KEYS = {
-    "n": _parse_int,
-    "step": _parse_float,
-    "horizon": _parse_float,
-    "paths": _parse_int,
-    "seed": _parse_int,
-    "pole_eps": _parse_float,
-    "r_floor": _parse_float,
-    "tame": _parse_float,
-    "workers": _parse_int,
-}
+# a key parses by the type of its default
+_PARSERS = {int: _parse_int, float: _parse_float, tuple: _parse_floats, str: _parse_str}
 
 SIM_DEFAULTS = {
     "n": 1,
@@ -126,70 +117,23 @@ SIM_DEFAULTS = {
 # manifest's config echo so reruns compare byte-identical
 ECHO_EXCLUDE = {"workers", "out"}
 
-
-def _schema(extra: dict, defaults: dict, tol_overrides: bool = False):
-    keys = dict(SIM_KEYS)
-    keys.update(extra)
-    keys["out"] = _parse_str
-    dft = dict(SIM_DEFAULTS)
-    dft.update(defaults)
-    return {"keys": keys, "defaults": dft, "tol": tol_overrides}
-
-
+# every command with the defaults of its own keys, on top of SIM_DEFAULTS;
+# ``out`` defaults to ``<group>_<target>_out`` and ``tol.<check>``
+# overrides are taken by the verify commands only
 COMMANDS = {
-    ("verify", "geometry"): _schema({}, {"out": "verify_geometry_out"}, tol_overrides=True),
-    ("verify", "operators"): _schema({}, {"out": "verify_operators_out"}, tol_overrides=True),
-    ("experiment", "cayley"): _schema(
-        {"x0_r": _parse_float, "x0_t": _parse_float, "u_grid": _parse_floats, "horizon_a": _parse_float},
-        {"x0_r": 0.0, "x0_t": 0.0, "u_grid": (0.3,), "horizon_a": 25.0, "out": "experiment_cayley_out"},
-    ),
-    ("experiment", "kelvin"): _schema(
-        {"x0_r": _parse_float, "x0_t": _parse_float, "u_grid": _parse_floats, "horizon_a": _parse_float},
-        {"x0_r": 1.0, "x0_t": 0.0, "u_grid": (0.2,), "horizon_a": 50.0, "out": "experiment_kelvin_out"},
-    ),
-    ("experiment", "tdist"): _schema(
-        {"x0_r": _parse_float, "x0_t": _parse_float, "ts": _parse_floats},
-        {"x0_r": 0.0, "x0_t": 0.0, "ts": (0.0, 0.25, 0.5, 1.0, 2.0), "out": "experiment_tdist_out"},
-    ),
-    ("experiment", "semigroup"): _schema(
-        {
-            "x0_r": _parse_float,
-            "x0_t": _parse_float,
-            "t_grid": _parse_floats,
-            "xn_r": _parse_float,
-            "xn_t": _parse_float,
-            "tn": _parse_float,
-        },
-        {
-            "x0_r": 0.0,
-            "x0_t": 0.0,
-            "t_grid": (0.25, 0.5),
-            "xn_r": 1.0,
-            "xn_t": 0.0,
-            "tn": 0.5,
-            "out": "experiment_semigroup_out",
-        },
-    ),
-    ("simulate", "full-h"): _schema(
-        {"x0_t": _parse_float, "record": _parse_floats},
-        {"x0_t": 0.0, "record": (), "out": "simulate_full-h_out"},
-    ),
-    ("simulate", "radial-h"): _schema(
-        {"x0_r": _parse_float, "x0_t": _parse_float, "record": _parse_floats},
-        {"x0_r": 0.0, "x0_t": 0.0, "record": (), "out": "simulate_radial-h_out"},
-    ),
-    ("simulate", "radial-s"): _schema(
-        {"x0_r": _parse_float, "x0_t": _parse_float, "record": _parse_floats},
-        {"x0_r": 0.0, "x0_t": 0.0, "record": (), "out": "simulate_radial-s_out"},
-    ),
-    ("simulate", "hproc"): _schema(
-        {"x0_r": _parse_float, "x0_t": _parse_float, "record": _parse_floats},
-        {"x0_r": 0.0, "x0_t": 0.0, "record": (), "out": "simulate_hproc_out"},
-    ),
-    ("simulate", "nproc"): _schema(
-        {"x0_r": _parse_float, "x0_t": _parse_float, "record": _parse_floats},
-        {"x0_r": 1.0, "x0_t": 0.0, "record": (), "out": "simulate_nproc_out"},
-    ),
+    ("verify", "geometry"): {},
+    ("verify", "operators"): {},
+    ("experiment", "cayley"): {"x0_r": 0.0, "x0_t": 0.0, "u_grid": (0.3,), "horizon_a": 25.0},
+    ("experiment", "kelvin"): {"x0_r": 1.0, "x0_t": 0.0, "u_grid": (0.2,), "horizon_a": 50.0},
+    ("experiment", "tdist"): {"x0_r": 0.0, "x0_t": 0.0, "ts": (0.0, 0.25, 0.5, 1.0, 2.0)},
+    ("experiment", "semigroup"): {
+        "x0_r": 0.0, "x0_t": 0.0, "t_grid": (0.25, 0.5), "xn_r": 1.0, "xn_t": 0.0, "tn": 0.5,
+    },
+    ("simulate", "full-h"): {"x0_t": 0.0, "record": ()},
+    ("simulate", "radial-h"): {"x0_r": 0.0, "x0_t": 0.0, "record": ()},
+    ("simulate", "radial-s"): {"x0_r": 0.0, "x0_t": 0.0, "record": ()},
+    ("simulate", "hproc"): {"x0_r": 0.0, "x0_t": 0.0, "record": ()},
+    ("simulate", "nproc"): {"x0_r": 1.0, "x0_t": 0.0, "record": ()},
 }
 
 
@@ -213,20 +157,21 @@ def _read_config_file(path: str) -> dict[str, str]:
 
 def resolve_config(command: tuple[str, str], raw: dict[str, str]) -> tuple[dict, dict[str, float]]:
     """Typed config plus tolerance overrides from raw key=value strings."""
-    schema = COMMANDS[command]
-    cfg = dict(schema["defaults"])
+    group, target = command
+    defaults = {**SIM_DEFAULTS, **COMMANDS[command], "out": f"{group}_{target}_out"}
+    cfg = dict(defaults)
     tol: dict[str, float] = {}
     for key, value in raw.items():
-        if schema["tol"] and key.startswith("tol."):
+        if group == "verify" and key.startswith("tol."):
             try:
                 tol[key[4:]] = _parse_float(value)
             except ValueError as e:
                 raise ConfigError(f"bad tolerance override {key}={value!r} ({e})") from e
             continue
-        if key not in schema["keys"]:
-            raise ConfigError(f"unknown config key {key!r} for {' '.join(command)}")
+        if key not in defaults:
+            raise ConfigError(f"unknown config key {key!r} for {group} {target}")
         try:
-            cfg[key] = schema["keys"][key](value)
+            cfg[key] = _PARSERS[type(defaults[key])](value)
         except ValueError as e:
             raise ConfigError(f"bad value for {key}: {value!r} ({e})") from e
     return cfg, tol
@@ -316,6 +261,9 @@ def _csv_chunks(header: list[str], columns) -> list[str]:
     return out
 
 
+MANIFEST = "manifest.txt"
+
+
 class RunWriter:
     """Collects all output files, then writes them once.
 
@@ -323,6 +271,9 @@ class RunWriter:
     is a config error: the caller pointed the run somewhere that does not
     exist.  Each file is written to a temporary name in the output
     directory and renamed into place, so none is ever left half written.
+    Any older ``manifest.txt`` is removed before the first rename and the
+    new one is renamed last, so a manifest in the output directory means
+    every file of its run landed.
     """
 
     def __init__(self, out_dir: str):
@@ -337,12 +288,15 @@ class RunWriter:
 
     def flush(self):
         os.makedirs(self.out_dir, exist_ok=True)
-        names = sorted(self.files)
+        names = sorted(self.files, key=lambda name: (name == MANIFEST, name))
         tmp = {name: os.path.join(self.out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
+        manifest = os.path.join(self.out_dir, MANIFEST)
         try:
             for name in names:
                 with open(tmp[name], "w", encoding="utf-8", newline="") as fh:
                     fh.writelines(self.files[name])
+            if os.path.lexists(manifest):
+                os.remove(manifest)
             for name in names:
                 os.replace(tmp[name], os.path.join(self.out_dir, name))
         except OSError:
@@ -357,9 +311,7 @@ def _apply_tol(records: list[CheckRecord], tol: dict[str, float]) -> list[CheckR
     for name in tol:
         if name not in known:
             raise ConfigError(f"tolerance override for unknown check {name!r}")
-    return [
-        CheckRecord(r.name, r.value, tol.get(r.name, r.tolerance), r.kind) for r in records
-    ]
+    return [replace(r, tolerance=tol.get(r.name, r.tolerance)) for r in records]
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +319,8 @@ def _apply_tol(records: list[CheckRecord], tol: dict[str, float]) -> list[CheckR
 # files as {name: (header, columns)}; ``main`` formats the CSVs)
 
 
-def _drive_verify(sub: str, cfg: dict, tol: dict) -> tuple[list[CheckRecord], dict, dict]:
-    if sub == "geometry":
+def _drive_verify(target: str, cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
+    if target == "geometry":
         records = verify_geometry(seed=cfg["seed"])
         extra = {
             "note.green_relation": (
@@ -379,7 +331,7 @@ def _drive_verify(sub: str, cfg: dict, tol: dict) -> tuple[list[CheckRecord], di
     else:
         records, meta = verify_operators(seed=cfg["seed"])
         extra = {"result.skipped_cells": meta["skipped_cells"]}
-    return _apply_tol(records, tol), extra, {}
+    return records, extra, {}
 
 
 def _sample_columns(rep: dict, coord: str) -> list[np.ndarray]:
@@ -394,6 +346,16 @@ def _sample_columns(rep: dict, coord: str) -> list[np.ndarray]:
     ]
 
 
+def _law_records(tag: str, rec: dict, coords, records: list, extra: dict):
+    """Append one level's KS record per coordinate in ``coords`` (its slack
+    is 0.02 over the 1% critical value) and its drop-gap record."""
+    for name in coords:
+        tol = rec[f"crit_{name}"] + 0.02
+        records.append(CheckRecord(f"{tag}_ks_{name}", rec[f"ks_{name}"], tol))
+        extra[f"result.{tag}_p_{name}"] = rec[f"p_{name}"]
+    records.append(CheckRecord(f"{tag}_drop_gap", rec["drop_gap"], rec["drop_tol"]))
+
+
 def _drive_cayley(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
     sim = _sim_config(cfg)
     rep = pushforward_experiment_cayley(
@@ -402,14 +364,8 @@ def _drive_cayley(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
     records: list[CheckRecord] = []
     extra: dict = {}
     for j, u in enumerate(rep["u_grid"]):
-        rec = rep[u]
-        tag = f"cayley_u{j}"
-        for name in ("r", "th", "gauge"):
-            records.append(
-                CheckRecord(f"{tag}_ks_{name}", rec[f"ks_{name}"], rec[f"crit_{name}"] + 0.02)
-            )
-            extra[f"result.{tag}_p_{name}"] = rec[f"p_{name}"]
-        records.append(CheckRecord(f"{tag}_drop_gap", rec["drop_gap"], rec["drop_tol"]))
+        tag, rec = f"cayley_u{j}", rep[u]
+        _law_records(tag, rec, ("r", "th", "gauge"), records, extra)
         extra[f"result.{tag}_dropA"] = rec["dropA"]
         extra[f"result.{tag}_dropB"] = rec["dropB"]
     files = {"samples.csv": (["u", "route", "r", "theta", "gauge"], _sample_columns(rep, "th"))}
@@ -427,17 +383,9 @@ def _drive_kelvin(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
             x0, cfg["u_grid"], sim, orientation=orientation, horizon_a=cfg["horizon_a"]
         )
         for j, u in enumerate(rep["u_grid"]):
-            rec = rep[u]
-            tag = f"kelvin_{orientation}_u{j}"
+            tag, rec = f"kelvin_{orientation}_u{j}", rep[u]
             if orientation == "image":
-                for name in ("r", "t", "gauge"):
-                    records.append(
-                        CheckRecord(
-                            f"{tag}_ks_{name}", rec[f"ks_{name}"], rec[f"crit_{name}"] + 0.02
-                        )
-                    )
-                    extra[f"result.{tag}_p_{name}"] = rec[f"p_{name}"]
-                records.append(CheckRecord(f"{tag}_drop_gap", rec["drop_gap"], rec["drop_tol"]))
+                _law_records(tag, rec, ("r", "t", "gauge"), records, extra)
             else:
                 # negative control: the mismatch must be LARGE for the run to pass
                 records.append(CheckRecord(f"{tag}_separation", rec["ks_r"], 0.1, kind="ge"))
@@ -472,41 +420,34 @@ def _drive_tdist(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
     return records, extra, files
 
 
+def _semigroup_result(label: str, side: str, func: str, t: float, res: dict):
+    """Check record and ``semigroup.csv`` row of one semigroup comparison."""
+    cond, weighted = res["conditioned"], res["weighted"]
+    record = CheckRecord(f"semigroup_{label}_t{_fmt(t)}", res["gap"], res["tol"])
+    row = (side, func, t, cond.value, cond.std_error, weighted.value, weighted.std_error,
+           res["gap"], res["tol"])
+    return record, row
+
+
 def _drive_semigroup(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
     sim = _sim_config(cfg)
-    records: list[CheckRecord] = []
-    rows = []
     x = (cfg["x0_r"], cfg["x0_t"])
-    for f in sphere_basket():
-        for t in cfg["t_grid"]:
-            res = doob_semigroup_check(f, x, t, sim)
-            records.append(CheckRecord(f"semigroup_{f.name}_t{_fmt(t)}", res["gap"], res["tol"]))
-            rows.append(
-                (
-                    "sphere", f.name, t,
-                    res["conditioned"].value, res["conditioned"].std_error,
-                    res["weighted"].value, res["weighted"].std_error,
-                    res["gap"], res["tol"],
-                )
-            )
+    results = [
+        _semigroup_result(f.name, "sphere", f.name, t, doob_semigroup_check(f, x, t, sim))
+        for f in sphere_basket()
+        for t in cfg["t_grid"]
+    ]
     expN = TestFunction("expN", lambda u, v: exp_jet(gauge_jet(u, v), -1.0))
     res = doob_semigroup_check_N(expN, (cfg["xn_r"], cfg["xn_t"]), cfg["tn"], sim)
-    records.append(CheckRecord(f"semigroup_N_expN_t{_fmt(cfg['tn'])}", res["gap"], res["tol"]))
-    rows.append(
-        (
-            "heis", "expN", cfg["tn"],
-            res["conditioned"].value, res["conditioned"].std_error,
-            res["weighted"].value, res["weighted"].std_error,
-            res["gap"], res["tol"],
-        )
-    )
+    results.append(_semigroup_result("N_expN", "heis", "expN", cfg["tn"], res))
+    records, rows = zip(*results)
     files = {
         "semigroup.csv": (
             ["side", "func", "t", "conditioned", "conditioned_se", "weighted", "weighted_se", "gap", "tol"],
             list(zip(*rows)),
         )
     }
-    return records, {}, files
+    return list(records), {}, files
 
 
 def _default_record(sim: SimConfig) -> tuple[float, ...]:
@@ -514,10 +455,10 @@ def _default_record(sim: SimConfig) -> tuple[float, ...]:
     return tuple(k * sim.step for k in ks)
 
 
-def _drive_simulate(sub: str, cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
+def _drive_simulate(target: str, cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
     sim = _sim_config(cfg)
     record = cfg["record"] or _default_record(sim)
-    if sub == "full-h":
+    if target == "full-h":
         ens = sim_full_h(sim, x0_t=cfg["x0_t"], record_times=record)
         z = ens.states["z"]
         header, columns = [], []
@@ -528,17 +469,13 @@ def _drive_simulate(sub: str, cfg: dict) -> tuple[list[CheckRecord], dict, dict]
         header.append("t")
         columns.append(ens.states["t"].T.ravel())
     else:
-        runner = {
-            "radial-h": (sim_radial_h, ("r", "t")),
-            "radial-s": (sim_radial_s, ("r", "th")),
-            "hproc": (sim_hproc, ("r", "th")),
-            "nproc": (sim_Nproc, ("r", "t")),
-        }[sub]
-        fn, names = runner
+        fn = {
+            "radial-h": sim_radial_h, "radial-s": sim_radial_s, "hproc": sim_hproc, "nproc": sim_Nproc,
+        }[target]
         ens = fn(sim, x0=(cfg["x0_r"], cfg["x0_t"]), record_times=record)
-        pretty = {"r": "r", "t": "t", "th": "theta"}
-        header = [pretty[nm] for nm in names]
-        columns = [ens.states[nm].T.ravel() for nm in names]
+        # the radial simulators hold ("r", "t") or ("r", "th"), in column order
+        header = [{"th": "theta"}.get(name, name) for name in ens.states]
+        columns = [state.T.ravel() for state in ens.states.values()]
         if ens.alive is not None:
             header += ["absorbed", "absorption_time"]
             columns += [
@@ -562,23 +499,26 @@ def _drive_simulate(sub: str, cfg: dict) -> tuple[list[CheckRecord], dict, dict]
 # entry point
 
 
+# config keys that also have a flag, which beats every other source and
+# parses like the key
+_FLAGS = ("seed", "out", "workers")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="heisenpaths",
         description="Simulators and checks for conformal images of group Brownian motion.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, choices in (
-        ("verify", ["geometry", "operators"]),
-        ("experiment", ["cayley", "kelvin", "tdist", "semigroup"]),
-        ("simulate", ["full-h", "radial-h", "radial-s", "hproc", "nproc"]),
-    ):
-        p = sub.add_parser(name)
+    targets: dict[str, list[str]] = {}
+    for group, target in COMMANDS:
+        targets.setdefault(group, []).append(target)
+    for group, choices in targets.items():
+        p = sub.add_parser(group)
         p.add_argument("target", choices=choices)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--workers", type=int)
+        for key in _FLAGS:
+            p.add_argument(f"--{key}")
     return parser
 
 
@@ -587,7 +527,7 @@ def main(argv=None) -> int:
     # trailing key=value overrides are collected from the leftovers so they
     # can be interleaved with the flags
     args, overrides = parser.parse_known_args(argv)
-    command = (args.command, args.target)
+    command = group, target = args.command, args.target
     try:
         raw: dict[str, str] = {}
         if args.config:
@@ -597,29 +537,22 @@ def main(argv=None) -> int:
                 parser.error(f"unrecognized argument: {item}")
             key, _, value = item.partition("=")
             raw[key.strip()] = value.strip()
-        if args.seed is not None:
-            raw["seed"] = str(args.seed)
-        if args.out is not None:
-            raw["out"] = args.out
-        if args.workers is not None:
-            raw["workers"] = str(args.workers)
+        for key in _FLAGS:
+            if getattr(args, key) is not None:
+                raw[key] = getattr(args, key)
         cfg, tol = resolve_config(command, raw)
         _sim_config(cfg)  # every command shares the simulation keys: validate up front
         writer = RunWriter(cfg["out"])
 
         t0 = time.perf_counter()
-        if command[0] == "verify":
-            records, extra, files = _drive_verify(command[1], cfg, tol)
-        elif command == ("experiment", "cayley"):
-            records, extra, files = _drive_cayley(cfg)
-        elif command == ("experiment", "kelvin"):
-            records, extra, files = _drive_kelvin(cfg)
-        elif command == ("experiment", "tdist"):
-            records, extra, files = _drive_tdist(cfg)
-        elif command == ("experiment", "semigroup"):
-            records, extra, files = _drive_semigroup(cfg)
+        # drivers are looked up by name on each call, so one replaced on the
+        # module is the one that runs: ``_drive_<target>(cfg)`` for an
+        # experiment, ``_drive_<group>(target, cfg)`` otherwise
+        if group == "experiment":
+            records, extra, files = globals()[f"_drive_{target}"](cfg)
         else:
-            records, extra, files = _drive_simulate(command[1], cfg)
+            records, extra, files = globals()[f"_drive_{group}"](target, cfg)
+        records = _apply_tol(records, tol)
         t1 = time.perf_counter()
     except ValueError as e:
         # library preconditions (bad start point, bad grid, ...) are config
@@ -629,7 +562,7 @@ def main(argv=None) -> int:
     csvs = {name: _csv_chunks(header, columns) for name, (header, columns) in files.items()}
     t2 = time.perf_counter()
 
-    writer.add("manifest.txt", _manifest_lines(command, cfg, records, extra))
+    writer.add(MANIFEST, _manifest_lines(command, cfg, records, extra))
     for name, lines in csvs.items():
         writer.add(name, lines)
     writer.add(

@@ -4,7 +4,16 @@ reproducibility."""
 import numpy as np
 import pytest
 
-from heisenpaths.cli import CSV_CHUNK_ROWS, _csv_chunks, _fmt, main
+from heisenpaths.cli import (
+    COMMANDS,
+    CSV_CHUNK_ROWS,
+    SIM_DEFAULTS,
+    ConfigError,
+    _csv_chunks,
+    _fmt,
+    main,
+    resolve_config,
+)
 
 
 def read_manifest(path):
@@ -140,6 +149,48 @@ def test_large_seed_parses_exactly(tmp_path, seed):
     argv = ["simulate", "radial-h", "paths=2", "horizon=0.002", f"seed={seed}", "--out", str(out)]
     assert main(argv) == 0
     assert read_manifest(out / "manifest.txt")["config.seed"] == seed
+
+
+# ---------------------------------------------------------------------------
+# key types: declared here on their own, so a default written with the wrong
+# type (``4`` for ``4.0``) changes what its key accepts and fails a case
+
+INT_KEYS = {"n", "paths", "seed", "workers"}
+LIST_KEYS = {"u_grid", "ts", "t_grid", "record"}
+STR_KEYS = {"out"}
+
+
+@pytest.mark.parametrize(
+    "command, key",
+    [(c, k) for c in COMMANDS for k in [*SIM_DEFAULTS, *COMMANDS[c], "out"]],
+    ids=lambda v: "-".join(v) if isinstance(v, tuple) else v,
+)
+def test_key_parses_by_its_kind(command, key):
+    if key in INT_KEYS:
+        assert resolve_config(command, {key: "2"})[0][key] == 2
+        with pytest.raises(ConfigError):
+            resolve_config(command, {key: "1.5"})
+    elif key in LIST_KEYS:
+        assert resolve_config(command, {key: "0.1,0.2"})[0][key] == (0.1, 0.2)
+    elif key in STR_KEYS:
+        assert resolve_config(command, {key: "runs/x"})[0][key] == "runs/x"
+    else:
+        assert resolve_config(command, {key: "0.5"})[0][key] == 0.5
+        with pytest.raises(ConfigError):
+            resolve_config(command, {key: "0.1,0.2"})
+
+
+@pytest.mark.parametrize("command", [c for c in COMMANDS if c[0] != "verify"], ids=" ".join)
+def test_tolerance_override_outside_verify_is_config_error(tmp_path, capsys, command):
+    out = tmp_path / "o"
+    assert main([*command, "tol.tdist_sup_gap=1", "--out", str(out)]) == 2
+    assert "unknown config key 'tol.tdist_sup_gap'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_out_is_group_target_out():
+    for group, target in COMMANDS:
+        assert resolve_config((group, target), {})[0]["out"] == f"{group}_{target}_out"
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +422,14 @@ def test_write_failure_exits_3_and_leaves_no_partial_file(tmp_path, capsys):
     assert main(argv + ["--out", str(ref)]) == 0
     out = tmp_path / "o"
     (out / "paths.csv").mkdir(parents=True)
+    (out / "manifest.txt").write_text("an older run's manifest\n")
     assert main(argv + ["--out", str(out)]) == 3
     assert "i/o error" in capsys.readouterr().err
     assert (out / "paths.csv").is_dir() and not any((out / "paths.csv").iterdir())
     left = [p for p in out.iterdir() if p.name != "paths.csv"]
     assert not [p.name for p in left if p.name.endswith(".tmp")]
+    # neither manifest is left: one in ``out`` says every file of its run landed
+    assert not (out / "manifest.txt").exists()
     # any file that did land is whole: byte-equal to a clean run's
     for p in left:
         assert p.name != "run.log" and p.read_bytes() == (ref / p.name).read_bytes()
