@@ -22,6 +22,7 @@ a smoothstep that vanishes where the conditioning factor is below 0.1 and is
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from math import exp, isnan, log, nan, pi, sqrt
 from math import gamma as gamma_fn
 from typing import Sequence
 
@@ -317,35 +318,135 @@ def doob_semigroup_check_N(
 
 # ---------------------------------------------------------------------------
 # two-sample distribution distance
+#
+# The scaled two-sample KS statistic is asymptotically Kolmogorov
+# distributed.  ``_kolmogorov`` and ``_kolmogi`` evaluate that law and its
+# inverse in double precision with the operations, constants and stopping
+# rule of the Cephes-derived ``kolmogorov``/``kolmogi`` of ``scipy.special``,
+# so p-values and critical values equal scipy's bit for bit.
+
+_EPS = 2.0**-52
+# at or below ~0.0407 the cdf's leading term exp(-pi^2 / (8 x^2)) is below
+# exp(-746), where exp() underflows to 0
+_CDF_UNDERFLOW = pi / sqrt(8 * 746.0)
+# log(sqrt(2 pi)) one ulp below the nearest double, as scipy has it
+_LOG_SQRT_2PI = log(2.0 * pi) / 2
+
+
+def _kolmogorov(x: float) -> tuple[float, float, float]:
+    """``(sf, cdf, pdf)`` of the Kolmogorov distribution at ``x``.
+
+    Up to 0.82 the theta form ``cdf = sqrt(2 pi)/x sum_k u^((2k-1)^2)``,
+    ``u = exp(-pi^2 / (8 x^2))``, is summed to its fourth term; above it the
+    alternating series ``sf = 2 sum_k (-1)^(k-1) v^(k^2)``,
+    ``v = exp(-2 x^2)``, is summed to its fourth; the pdf's sums stop one
+    term earlier.
+    """
+    if isnan(x):
+        return nan, nan, nan
+    if x <= _CDF_UNDERFLOW:  # every x <= 0 too
+        return 1.0, 0.0, 0.0
+    if x <= 0.82:
+        w = sqrt(2.0 * pi) / x
+        logu8 = -pi * pi / (x * x)
+        u = exp(logu8 / 8)
+        if u == 0.0:
+            cdf, pdf = exp(logu8 / 8 + log(w)), 0.0
+        else:
+            u8 = exp(logu8)
+            s = 1 + u8 * (1 + u8 * u8 * (1 + u8**3))
+            ds = 1 + u8 * (9 + u8 * u8 * 25)
+            cdf = w * u * s
+            pdf = (pi * pi / 4 / (x * x) * ds - s) * (w * u / x)
+        sf = 1 - cdf
+    else:
+        v = exp(-2 * x * x)
+        v3 = v**3
+        v5 = v3 * (v * v)
+        sf = 2 * v * (1 - v3 * (1 - v5 * (1 - v3 * v3 * v)))
+        pdf = 8 * v * x * (1 - v3 * (4 - v5 * 9))
+        cdf = 1 - sf
+    return min(max(sf, 0.0), 1.0), min(max(cdf, 0.0), 1.0), max(0.0, pdf)
+
+
+def _kolmogi(p: float) -> float:
+    """The ``x`` with Kolmogorov survival function ``p``, for ``0 < p < 1``.
+
+    A bracket from the small-cdf or small-sf asymptotics, then Newton steps
+    on the smaller of the two tails, bisecting whenever a step leaves the
+    bracket, until a step is within ``eps + 2 eps |x|``.
+    """
+    psf, pcdf = p, 1 - p
+    if pcdf <= 0.5:
+        # cdf ~ sqrt(2 pi)/x exp(-pi^2/(8 x^2)): two fixed-point passes from
+        # each side of x = pi / sqrt(8 (log sqrt(2 pi) - log x - log cdf))
+        lp = log(pcdf)
+
+        def fixed_point(log_x):
+            return pi / (sqrt(8.0) * sqrt(-(lp + log_x - _LOG_SQRT_2PI)))
+
+        a, b = fixed_point(lp / 2), fixed_point(0.0)
+        a, b = fixed_point(log(a)), fixed_point(log(b))
+        x = (a + b) / 2
+    else:
+        # sf ~ 2 exp(-2 x^2); the start inverts q - q^4 + q^9 - ... = sf/2
+        a = sqrt(-0.5 * log(psf / (1.0 - exp(-4.0)) / 2))
+        b = sqrt(-0.5 * log(psf * (1 - 256 * _EPS) / 2))
+        q = psf / 2
+        q2, q3 = q * q, q * q * q
+        q0 = q * (1 + q3 * (1 + q3 * (4 + q2 * (-1 + q * (22 + q2 * (-13 + 140 * q))))))
+        x = sqrt(-log(q0) / 2)
+        if x < a or x > b:
+            x = (a + b) / 2
+    for _ in range(501):  # scipy's cap; Newton is done in under ten steps
+        x0 = x
+        sf, cdf, pdf = _kolmogorov(x0)
+        df = pcdf - cdf if pcdf < 0.5 else sf - psf
+        if df == 0:
+            break
+        if df > 0 and x > a:
+            a = x
+        elif df < 0 and x < b:
+            b = x
+        x = (a + b) / 2 if pdf == 0 else x0 + df / pdf
+        if a <= x <= b:
+            if abs(x - x0) <= _EPS + 2 * _EPS * abs(x0):
+                break
+            if x == a or x == b:
+                x = (a + b) / 2
+                if x == a or x == b:
+                    break
+        else:
+            x = (a + b) / 2
+            if abs(x - x0) <= _EPS + 2 * _EPS * abs(x0):
+                break
+    return x
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
     """Two-sample Kolmogorov-Smirnov statistic and asymptotic p-value."""
-    # imported here: scipy.special is most of the package's import time,
-    # and only the law comparisons need it
-    from scipy import special
-
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     m, k = a.size, b.size
     if m < 10 or k < 10:
         raise ValueError("need at least 10 samples on each side")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("samples must be finite")
     allv = np.concatenate([a, b])
     fa = np.searchsorted(a, allv, side="right") / m
     fb = np.searchsorted(b, allv, side="right") / k
     stat = float(np.max(np.abs(fa - fb)))
     en = np.sqrt(m * k / (m + k))
-    pvalue = float(special.kolmogorov(en * stat))
-    return stat, pvalue
+    return stat, _kolmogorov(float(en * stat))[0]
 
 
 def ks_critical(alpha: float, m: int, k: int) -> float:
     """Two-sample KS acceptance threshold at level ``alpha``."""
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie in (0, 1)")
-    from scipy import special
-
-    return float(special.kolmogi(alpha) * np.sqrt((m + k) / (m * k)))
+    if m < 1 or k < 1:
+        raise ValueError("sample sizes must be positive")
+    return float(_kolmogi(alpha) * np.sqrt((m + k) / (m * k)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from heisenpaths.analysis import (
     MCEstimate,
+    _kolmogi,
+    _kolmogorov,
     doob_semigroup_check,
     doob_semigroup_check_N,
     ergodic_expected,
@@ -23,7 +25,13 @@ from heisenpaths.analysis import (
     tdist_experiment,
 )
 from heisenpaths.geometry import HPoint, cayley1_chart
-from heisenpaths.operators import heis_basket, sphere_basket
+from heisenpaths.operators import (
+    h_fun_jet,
+    heis_basket,
+    power_jet,
+    sphere_basket,
+    sphere_generator,
+)
 from heisenpaths.sde import sim_full_h, sim_radial_s
 
 from conftest import small_cfg
@@ -95,6 +103,86 @@ def test_ks_critical_monotone():
     assert ks_critical(0.05, 1000, 1000) < ks_critical(0.01, 1000, 1000)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_rejects_non_finite_samples(bad):
+    a = np.arange(20.0)
+    b = np.arange(20.0)
+    b[::2] = bad
+    for pair in ((a, b), (b, a)):
+        with pytest.raises(ValueError, match="finite"):
+            ks_two_sample(*pair)
+
+
+@pytest.mark.parametrize("m, k", [(0, 10), (10, 0), (-3, 10)])
+def test_ks_critical_rejects_empty_samples(m, k):
+    with pytest.raises(ValueError, match="positive"):
+        ks_critical(0.01, m, k)
+
+
+# The Kolmogorov law is computed in-repo with the arithmetic of
+# scipy.special; scipy, a test dependency only, is the bit-for-bit reference.
+
+
+def same_bits(x, y) -> bool:
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    nan = np.isnan(x)
+    return np.array_equal(nan, np.isnan(y)) and np.array_equal(
+        x[~nan].view(np.int64), y[~nan].view(np.int64)
+    )
+
+
+def kolmogorov_grid() -> np.ndarray:
+    cut = np.pi / np.sqrt(8 * 746)  # the cdf underflows at or below ~0.040666
+    return np.concatenate(
+        [
+            np.linspace(0.0, 40.0, 200_001),
+            np.linspace(0.03, 0.05, 2001),
+            [cut, np.nextafter(cut, 0), np.nextafter(cut, 1)],
+            np.linspace(0.81, 0.83, 2001),
+            [0.82, np.nextafter(0.82, 0), np.nextafter(0.82, 1)],
+            [-0.0, -5e-324, -1.0, -np.inf, np.inf, np.nan, 5e-324],
+        ]
+    )
+
+
+def test_kolmogorov_sf_matches_scipy_bitwise():
+    special = pytest.importorskip("scipy.special")
+    xs = kolmogorov_grid()
+    sf = [_kolmogorov(float(x))[0] for x in xs]
+    assert same_bits(sf, special.kolmogorov(xs))
+
+
+def test_kolmogorov_cdf_pdf_match_scipy_bitwise():
+    # the Newton steps of the inverse take cdf and pdf; scipy exposes them
+    # only as private ufuncs
+    ufuncs = pytest.importorskip("scipy.special._ufuncs")
+    if not hasattr(ufuncs, "_kolmogc") or not hasattr(ufuncs, "_kolmogp"):
+        pytest.skip("scipy has no _kolmogc/_kolmogp")
+    xs = kolmogorov_grid()
+    xs = xs[np.isfinite(xs)]
+    probs = np.array([_kolmogorov(float(x)) for x in xs])
+    assert same_bits(probs[:, 1], ufuncs._kolmogc(xs))
+    assert same_bits(probs[:, 2], -ufuncs._kolmogp(xs))
+
+
+def test_kolmogi_and_ks_critical_match_scipy_bitwise():
+    special = pytest.importorskip("scipy.special")
+    alphas = np.concatenate([np.logspace(-12, np.log10(0.5), 4001)[1:-1], [0.01, 0.05]])
+    assert same_bits([_kolmogi(float(a)) for a in alphas], special.kolmogi(alphas))
+    for m, k in ((10, 10), (8192, 7000), (20_000, 13)):
+        crit = [ks_critical(float(a), m, k) for a in alphas]
+        assert same_bits(crit, special.kolmogi(alphas) * np.sqrt((m + k) / (m * k)))
+
+
+def test_kolmogi_upper_half_matches_scipy_bitwise():
+    # no caller takes alpha >= 0.5, but the small-cdf start runs there
+    special = pytest.importorskip("scipy.special")
+    rng = np.random.default_rng(5)
+    alphas = np.concatenate([[0.5], rng.uniform(0.5, 1.0, 5000), 1.0 - np.logspace(-15, np.log10(0.5), 400)])
+    assert same_bits([_kolmogi(float(a)) for a in alphas], special.kolmogi(alphas))
+
+
 def test_mcestimate_agrees():
     a = MCEstimate(1.0, 0.01, 100)
     b = MCEstimate(1.02, 0.01, 100)
@@ -110,6 +198,18 @@ def test_survival_eigenfactor_halfrate():
     # half-generator convention: the ground-state eigenvalue enters as
     # exp(-n^2 t / 2)
     assert survival_eigenfactor(1, 2.0) == pytest.approx(np.exp(-1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_survival_eigenfactor_rate_matches_generator(n):
+    # off the pole the weight w = h^(-n/2) is an eigenfunction of the sphere
+    # generator, so the factor decays at the rate (1/2) L_S w / w
+    rs, th = np.meshgrid(np.linspace(0.1, 1.4, 6), np.linspace(-2.5, 2.5, 7))
+    w = power_jet(h_fun_jet(rs, th), -0.5 * n)
+    rate = 0.5 * sphere_generator(w, rs, n) / w.f
+    for t in (0.25, 1.0, 3.0):
+        decay = -np.log(survival_eigenfactor(n, t)) / t
+        assert rate == pytest.approx(np.full(rate.shape, decay), rel=1e-11)
 
 
 def test_survival_curve_shape():
