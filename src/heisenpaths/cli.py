@@ -263,6 +263,16 @@ def _csv_chunks(header: list[str], columns) -> list[str]:
 
 MANIFEST = "manifest.txt"
 
+# every CSV name some command writes; a run removes those it does not write
+CSV_NAMES = (
+    "paths.csv",
+    "samples.csv",
+    "samples_image.csv",
+    "samples_preimage.csv",
+    "semigroup.csv",
+    "survival.csv",
+)
+
 
 class RunWriter:
     """Collects all output files, then writes them once.
@@ -271,9 +281,11 @@ class RunWriter:
     is a config error: the caller pointed the run somewhere that does not
     exist.  Each file is written to a temporary name in the output
     directory and renamed into place, so none is ever left half written.
-    Any older ``manifest.txt`` is removed before the first rename and the
-    new one is renamed last, so a manifest in the output directory means
-    every file of its run landed.
+    Any older ``manifest.txt``, and any file named in ``CSV_NAMES`` that
+    this run does not write, is removed before the first rename and the new
+    manifest is renamed last, so a manifest in the output directory means
+    every file of its run landed and no CSV of another run is beside it.
+    Files with other names are left alone.
     """
 
     def __init__(self, out_dir: str):
@@ -290,13 +302,14 @@ class RunWriter:
         os.makedirs(self.out_dir, exist_ok=True)
         names = sorted(self.files, key=lambda name: (name == MANIFEST, name))
         tmp = {name: os.path.join(self.out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
-        manifest = os.path.join(self.out_dir, MANIFEST)
         try:
             for name in names:
                 with open(tmp[name], "w", encoding="utf-8", newline="") as fh:
                     fh.writelines(self.files[name])
-            if os.path.lexists(manifest):
-                os.remove(manifest)
+            for name in [MANIFEST] + [n for n in CSV_NAMES if n not in self.files]:
+                path = os.path.join(self.out_dir, name)
+                if os.path.lexists(path):
+                    os.remove(path)
             for name in names:
                 os.replace(tmp[name], os.path.join(self.out_dir, name))
         except OSError:
@@ -584,10 +597,18 @@ def main(argv=None) -> int:
         return 3
 
     failed = [r for r in records if not r.passed]
-    for rec in records:
-        flag = "PASS" if rec.passed else "FAIL"
-        rel = "<=" if rec.kind == "le" else ">="
-        print(f"{flag} {rec.name}: {_fmt(rec.value)} {rel} {_fmt(rec.tolerance)}")
+    try:
+        for rec in records:
+            flag = "PASS" if rec.passed else "FAIL"
+            rel = "<=" if rec.kind == "le" else ">="
+            print(f"{flag} {rec.name}: {_fmt(rec.value)} {rel} {_fmt(rec.tolerance)}")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has exited; the files have landed, so the
+        # checks still decide the exit code.  Python flushes stdout again at
+        # exit, so point it at the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     if failed:
         print(f"{len(failed)} check(s) failed", file=sys.stderr)
         return 1

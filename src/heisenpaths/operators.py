@@ -29,11 +29,13 @@ from typing import Callable
 import numpy as np
 
 from .geometry import (
+    TWO_PI,
     cayley1_chart,
     cayley1_chart_inv,
     h_fun_cos,
     kelvin_radial,
     koranyi_N,
+    trig_via_tan,
 )
 from .numdiff import Jet2, map_jet, pullback_jet
 
@@ -269,11 +271,14 @@ def drift_hproc(q, n: int):
 
     Radial part ``(1/2)((2n-1)cot - tan) - (n/2) h_r/h``, angular part
     ``-(n/2) tan^2(rs) h_th/h``.  Callers keep ``rs`` inside ``(0, pi/2)``.
+    The trigonometry comes from :func:`~heisenpaths.geometry.trig_via_tan`,
+    as in the simulator; ``th`` is first reduced to ``[0, 2*pi)``, which
+    leaves an angle already there unchanged.
     """
     rs, th = q
-    rs = np.asarray(rs, dtype=float)
-    th = np.asarray(th, dtype=float)
-    return drift_hproc_trig(np.cos(rs), np.sin(rs), np.cos(th), np.sin(th), np.tan(rs), n)
+    c, s, ta = trig_via_tan(rs)
+    ct, st, _ = trig_via_tan(np.mod(np.asarray(th, dtype=float), TWO_PI), angle=True)
+    return drift_hproc_trig(c, s, ct, st, ta, n)
 
 
 def drift_hproc_trig(c, s, ct, st, ta, n: int):

@@ -38,7 +38,8 @@ supplies three functions on a state dict of per-path arrays:
   and leaves ``state`` unchanged;
 * ``absorb(state)``, for absorbing processes only, returns the mask of
   paths inside the absorption region.  It may store values in the state
-  for the next step (:func:`sim_hproc` keeps the cosines of the new state).
+  for the next step (:func:`sim_hproc` keeps the trigonometry of the new
+  state).
 
 Each step runs in one order: draw, accumulate averages at the left point,
 ``step``, freeze the absorbed paths (``np.copyto`` of their old recorded
@@ -62,15 +63,22 @@ horizon, so a run that accumulates them never stops early.
 The sphere-side steps (:func:`sim_radial_s`, :func:`sim_hproc`) are fused:
 each transcendental is evaluated once per step, and only what the drift
 needs is computed.  ``tan`` of the guarded radius serves the radial drift,
-the angular drift and the angular diffusion; ``cos(r)`` and ``cos(th)`` of
-the new state serve the absorption test and then the next step's drift,
-with ``cos`` evaluated afresh only where the guard clip moved ``r``.  The
-drift comes from :func:`~heisenpaths.operators.drift_hproc_trig`, the same
-formula behind :func:`~heisenpaths.operators.drift_hproc`, with every
-expression in the same operation order, so the fused steps write the same
-bytes.  The angle wrap calls ``np.mod`` only on entries outside
-``(0, 2*pi)``: inside it ``np.mod`` is the identity, so the result equals
-``np.mod`` bit for bit (``-0.0``, NaN and infinities included).
+the angular drift and the angular diffusion.  :func:`sim_hproc` takes its
+trigonometry from one SIMD tangent per angle
+(:func:`~heisenpaths.geometry.trig_via_tan`).  ``tan(r)`` gives ``cos(r)``
+and ``sin(r)``, and ``tan(th)`` gives ``cos(th)`` and ``sin(th)``.  Taken at
+the new state, they serve the absorption test and then the next step's
+drift, and are evaluated afresh only on the columns where the guard clip
+moved ``r``.  The drift comes from
+:func:`~heisenpaths.operators.drift_hproc_trig`, the same formula behind
+:func:`~heisenpaths.operators.drift_hproc`, which takes its trigonometry the
+same way, with every expression in the same operation order, so the fused
+steps write the same bytes.  Since 0.2.0 ``cos`` and ``sin`` come from the
+tangent, within 3 ulp of ``np.cos`` and ``np.sin``, which changed
+:func:`sim_hproc` output bytes.  The angle wrap calls ``np.mod`` only on
+entries outside ``(0, 2*pi)``: inside it ``np.mod`` is the identity, so the
+result equals ``np.mod`` bit for bit (``-0.0``, NaN and infinities
+included).
 """
 
 from __future__ import annotations
@@ -82,7 +90,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .geometry import TWO_PI, H_fun, h_fun, h_fun_cos, koranyi_N
+from .geometry import TWO_PI, H_fun, h_fun, h_fun_cos, koranyi_N, trig_via_tan
 from .operators import drift_hproc_trig, drift_Nproc, sphere_radial_drift_tan
 
 # bench/tracer.py patches these names here to time them; the fused sphere
@@ -271,22 +279,22 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
     return np.mod(x, TWO_PI, out=x, where=~((x > 0.0) & (x < TWO_PI)))
 
 
-def _hproc_drift(r, cr, th, ct, lo: float, hi: float, n: int):
+def _hproc_drift(r, trig_r, trig_th, lo: float, hi: float, n: int):
     """Drift of :func:`sim_hproc` at the guarded state ``(clip(r, lo, hi), th)``.
 
-    ``cr`` and ``ct`` are ``cos(r)`` and ``cos(th)``, kept from the
-    absorption test of the previous step; ``cos`` is evaluated afresh only
-    where the clip moved ``r``.  Returns ``tan`` of the guarded radius and
-    the drift, equal bit for bit to :func:`~heisenpaths.operators.drift_hproc`
-    at the guarded state.
+    ``trig_r = (cos, sin, tan)(r)`` and ``trig_th = (cos, sin)(th)`` are kept
+    from the absorption test of the previous step; they are evaluated
+    afresh only where the clip moved ``r``.  Returns ``tan`` of the guarded
+    radius and the drift, equal bit for bit to
+    :func:`~heisenpaths.operators.drift_hproc` at the guarded state.
     """
+    cr, sr, ta = trig_r
     re = np.minimum(np.maximum(r, lo), hi)
     moved = re != r
     if moved.any():
-        cr = cr.copy()
-        cr[moved] = np.cos(re[moved])
-    ta = np.tan(re)
-    br, bth = drift_hproc_trig(cr, np.sin(re), ct, np.sin(th), ta, n)
+        cr, sr, ta = cr.copy(), sr.copy(), ta.copy()
+        cr[moved], sr[moved], ta[moved] = trig_via_tan(re[moved])
+    br, bth = drift_hproc_trig(cr, sr, *trig_th, ta, n)
     return ta, br, bth
 
 
@@ -581,23 +589,28 @@ def sim_hproc(
     if h_fun(r0, th0) <= floor:
         raise ValueError("x0 starts inside the absorption region")
 
+    def trig(s):
+        # cosines, sines and tan(r) of a state, from one tangent per angle
+        s["trig_r"] = trig_via_tan(s["r"])
+        s["trig_th"] = trig_via_tan(s["th"], angle=True)[:2]
+        return s
+
     def start(width):
-        r, th = np.full(width, r0), np.full(width, th0 % TWO_PI)
-        return {"r": r, "th": th, "cr": np.cos(r), "ct": np.cos(th)}
+        return trig({"r": np.full(width, r0), "th": np.full(width, th0 % TWO_PI)})
 
     def step(s, dw):
         r, th = s["r"], s["th"]
-        ta, br, bth = _hproc_drift(r, s["cr"], th, s["ct"], guard, upper, n)
+        ta, br, bth = _hproc_drift(r, s["trig_r"], s["trig_th"], guard, upper, n)
         return {
             "r": np.minimum(np.abs(r + _clip(br * dt, cap) + sq * dw[0]), hi),
             "th": _wrap_angle(th + _clip(bth * dt, cap) + ta * sq * dw[1]),
         }
 
     def absorb(s):
-        # the cosines of the new state serve the absorption test now and
-        # the drift of the next step
-        s["cr"], s["ct"] = np.cos(s["r"]), np.cos(s["th"])
-        return h_fun_cos(s["cr"], s["ct"]) < floor
+        # the trigonometry of the new state serves the absorption test now
+        # and the drift of the next step
+        trig(s)
+        return h_fun_cos(s["trig_r"][0], s["trig_th"][0]) < floor
 
     return _simulate(cfg, purpose, record_times, ("r", "th"), start, step, absorb)
 

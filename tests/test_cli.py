@@ -1,12 +1,18 @@
 """Runner behaviour: config plumbing, exit taxonomy, file formats,
 reproducibility."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from heisenpaths.cli import (
     COMMANDS,
     CSV_CHUNK_ROWS,
+    CSV_NAMES,
     SIM_DEFAULTS,
     ConfigError,
     _csv_chunks,
@@ -75,6 +81,13 @@ def test_bad_subcommand_usage_error():
     with pytest.raises(SystemExit) as e:
         main(["verify", "nonsense"])
     assert e.value.code == 2
+
+
+def test_too_few_law_samples_is_config_error(tmp_path, capsys):
+    # 8 paths cannot give 10 samples on a route at the level
+    argv = ["experiment", "cayley", "paths=8", "step=5e-3", "horizon_a=5", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "c")]) == 2
+    assert "config error: need at least 10 samples on each side" in capsys.readouterr().err
 
 
 def test_bad_start_point_is_config_error(tmp_path):
@@ -379,6 +392,61 @@ def test_semigroup_csv(tmp_path):
     assert header[:3] == ["side", "func", "t"]
     sides = {r[0] for r in rows}
     assert sides == {"sphere", "heis"}
+
+
+# a cheap run of every command
+SMALL_RUNS = {
+    ("verify", "geometry"): [],
+    ("verify", "operators"): [],
+    ("experiment", "cayley"): ["paths=200", "step=5e-3", "horizon_a=2"],
+    ("experiment", "kelvin"): ["paths=200", "step=5e-3", "horizon_a=2"],
+    ("experiment", "tdist"): ["paths=200", "step=5e-3", "ts=0,0.5"],
+    ("experiment", "semigroup"): ["paths=200", "step=5e-3", "t_grid=0.25", "tn=0.25"],
+    ("simulate", "full-h"): ["paths=4", "horizon=0.01", "step=5e-3"],
+    ("simulate", "radial-h"): ["paths=4", "horizon=0.01", "step=5e-3"],
+    ("simulate", "radial-s"): ["paths=4", "horizon=0.01", "step=5e-3"],
+    ("simulate", "hproc"): ["paths=4", "horizon=0.01", "step=5e-3"],
+    ("simulate", "nproc"): ["paths=4", "horizon=0.01", "step=5e-3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_csv_a_command_writes_is_in_csv_names(command, tmp_path):
+    assert set(SMALL_RUNS) == set(COMMANDS)
+    out = tmp_path / "o"
+    assert main([*command, *SMALL_RUNS[command], "--out", str(out)]) in (0, 1)
+    written = {p.name for p in out.iterdir()} - {"manifest.txt", "run.log"}
+    assert written <= set(CSV_NAMES)
+
+
+def test_reused_out_holds_only_the_latest_runs_csvs(tmp_path):
+    out = tmp_path / "o"
+    assert main(["simulate", "radial-s", *SMALL_RUNS["simulate", "radial-s"], "--out", str(out)]) == 0
+    assert (out / "paths.csv").exists()
+    (out / "notes.txt").write_text("kept\n")
+    assert main(["experiment", "tdist", "paths=2000", "step=2e-3", "ts=0,0.25,0.5",
+                 "--out", str(out)]) == 0
+    names = {p.name for p in out.iterdir()}
+    assert names == {"manifest.txt", "run.log", "survival.csv", "notes.txt"}
+    assert (out / "notes.txt").read_text() == "kept\n"
+
+
+def test_closed_stdout_keeps_the_check_exit_code(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "heisenpaths.cli", "experiment", "tdist", "paths=2000",
+            "step=2e-3", "ts=0,0.25,0.5", "--out", str(tmp_path / "t")]
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader has gone before the run prints
+    try:
+        proc = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, text=True,
+                              env=env, timeout=300)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (tmp_path / "t" / "manifest.txt").exists()
 
 
 # ---------------------------------------------------------------------------

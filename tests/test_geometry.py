@@ -25,6 +25,7 @@ from heisenpaths.geometry import (
     kelvin_radial,
     koranyi_N,
     measure_jacobian_residual,
+    trig_via_tan,
 )
 
 finite = st.floats(-3.0, 3.0, allow_nan=False)
@@ -202,6 +203,52 @@ def test_measure_jacobian(n):
         for t in np.linspace(-2.0, 2.0, 7)
     )
     assert worst < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# cosines and sines from one tangent
+
+
+def ulps(got, want):
+    return float(np.max(np.abs(got - want) / np.spacing(np.abs(want))))
+
+
+def test_trig_via_tan_within_3_ulp_on_the_radius():
+    rs = np.linspace(0.0, np.pi / 2 - 1e-6, 1_000_001)
+    c, s, t = trig_via_tan(rs)
+    assert ulps(c, np.cos(rs)) <= 3.0
+    assert ulps(s[1:], np.sin(rs[1:])) <= 3.0 and s[0] == 0.0
+    assert np.array_equal(t.view(np.int64), np.tan(rs).view(np.int64))
+
+
+def test_trig_via_tan_within_3_ulp_on_the_angle():
+    th = np.linspace(0.0, 2 * np.pi, 1_000_001)[:-1]
+    c, s, t = trig_via_tan(th, angle=True)
+    assert ulps(c, np.cos(th)) <= 3.0
+    assert ulps(s[1:], np.sin(th[1:])) <= 3.0 and s[0] == 0.0
+    assert np.array_equal(t.view(np.int64), np.tan(th).view(np.int64))
+
+
+def test_trig_via_tan_signs_at_the_quadrant_boundaries():
+    edges = []
+    for p in (0.0, np.pi / 2, np.pi, 3 * np.pi / 2, 2 * np.pi):
+        edges += [np.nextafter(p, -np.inf), p, np.nextafter(p, np.inf)]
+    th = np.array([x for x in edges if 0.0 <= x < 2 * np.pi])
+    assert len(th) == 12
+    c, s, _ = trig_via_tan(th, angle=True)
+    assert np.array_equal(np.sign(c), np.sign(np.cos(th)))
+    assert np.array_equal(np.sign(s), np.sign(np.sin(th)))
+    rs = np.array([0.0, np.nextafter(0.0, 1.0), np.nextafter(np.pi / 2, 0.0)])
+    c, s, _ = trig_via_tan(rs)
+    assert np.array_equal(np.sign(c), np.sign(np.cos(rs)))
+    assert np.array_equal(np.sign(s), np.sign(np.sin(rs)))
+
+
+@pytest.mark.parametrize("angle", [False, True])
+def test_trig_via_tan_nan_in_nan_out(angle):
+    out = trig_via_tan(np.array([np.nan, 0.5]), angle=angle)
+    assert all(np.isnan(v[0]) and np.isfinite(v[1]) for v in out)
+    assert all(np.isnan(v) for v in trig_via_tan(np.nan, angle=angle))
 
 
 def test_ambient_unit_check():

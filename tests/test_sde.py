@@ -10,7 +10,7 @@ import pytest
 
 from heisenpaths import sde
 from heisenpaths.analysis import ks_critical, ks_two_sample
-from heisenpaths.geometry import TWO_PI, h_fun, koranyi_N
+from heisenpaths.geometry import TWO_PI, h_fun, koranyi_N, trig_via_tan
 from heisenpaths.operators import drift_hproc
 from heisenpaths.rng import PURPOSE_COMPARE
 from heisenpaths.sde import (
@@ -360,7 +360,7 @@ def test_hproc_step_drift_equals_drift_hproc_bitwise(n):
     th = rng.uniform(0.0, TWO_PI, 4096)
     re = np.clip(r, lo, hi)
     assert np.sum(re != r) == 128
-    ta, br, bth = sde._hproc_drift(r, np.cos(r), th, np.cos(th), lo, hi, n)
+    ta, br, bth = sde._hproc_drift(r, trig_via_tan(r), trig_via_tan(th, angle=True)[:2], lo, hi, n)
     want_br, want_bth = drift_hproc((re, th), n)
     assert np.array_equal(as_bits(ta), as_bits(np.tan(re)))
     assert np.array_equal(as_bits(br), as_bits(want_br))
