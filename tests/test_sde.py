@@ -432,7 +432,7 @@ DIGEST_RUNS = {
     "hproc-n2-equator": (
         sim_hproc, dict(n=2, horizon=0.1),
         dict(x0=(1.55, 1.0), record_times=(0.0, 0.05, 0.1)),
-        "3b36724ba5264d16269b60e3ff45ef17a4131ac02d82da09d84829ea936b412e",
+        "7341da7679f09768f8b76d19d8850871a47e5da7a3c70dc89e9006d001eabf20",
     ),
     # the final block is dead by t=0.645, so it stops at the last record
     # time while the first block runs to the horizon
