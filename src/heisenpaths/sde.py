@@ -65,20 +65,17 @@ each transcendental is evaluated once per step, and only what the drift
 needs is computed.  ``tan`` of the guarded radius serves the radial drift,
 the angular drift and the angular diffusion.  :func:`sim_hproc` takes its
 trigonometry from one SIMD tangent per angle
-(:func:`~heisenpaths.geometry.trig_via_tan`).  ``tan(r)`` gives ``cos(r)``
-and ``sin(r)``, and ``tan(th)`` gives ``cos(th)`` and ``sin(th)``.  Taken at
-the new state, they serve the absorption test and then the next step's
-drift, and are evaluated afresh only on the columns where the guard clip
-moved ``r``.  The drift comes from
+(:func:`~heisenpaths.geometry.trig_via_tan`, within 3 ulp of ``np.cos`` and
+``np.sin``).  ``tan(r)`` gives ``cos(r)`` and ``sin(r)``, and ``tan(th)``
+gives ``cos(th)`` and ``sin(th)``.  Taken at the new state, they serve the
+absorption test and then the next step's drift, and are evaluated afresh
+only on the columns where the guard clip moved ``r``.  The drift comes from
 :func:`~heisenpaths.operators.drift_hproc_trig`, the same formula behind
 :func:`~heisenpaths.operators.drift_hproc`, which takes its trigonometry the
 same way, with every expression in the same operation order, so the fused
-steps write the same bytes.  Since 0.2.0 ``cos`` and ``sin`` come from the
-tangent, within 3 ulp of ``np.cos`` and ``np.sin``, which changed
-:func:`sim_hproc` output bytes.  The angle wrap calls ``np.mod`` only on
-entries outside ``(0, 2*pi)``: inside it ``np.mod`` is the identity, so the
-result equals ``np.mod`` bit for bit (``-0.0``, NaN and infinities
-included).
+steps write the same bytes.  The angle wrap calls ``np.mod`` only on entries
+outside ``(0, 2*pi)``: inside it ``np.mod`` is the identity, so the result
+equals ``np.mod`` bit for bit (``-0.0``, NaN and infinities included).
 """
 
 from __future__ import annotations

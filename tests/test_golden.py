@@ -20,8 +20,8 @@ tolerance at its default.  Digests depend
 on numpy's Philox stream and on the platform's floating point; those of
 runs through ``sim_hproc`` (cayley, tdist, semigroup, hproc) also depend on
 whether ``np.tan`` runs on numpy's SIMD lanes.  A numpy upgrade that changes
-them is a contract change too.  They are pinned at ``meta.version`` 0.2.0 on an AVX-512
-x86-64 machine with numpy 2.4.
+them is a contract change too.  They are pinned at ``meta.version`` 0.2.0
+on an AVX-512 x86-64 machine with numpy 2.4.
 """
 
 import hashlib
