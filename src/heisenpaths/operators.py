@@ -277,7 +277,7 @@ def drift_hproc(q, n: int):
     """
     rs, th = q
     c, s, ta = trig_via_tan(rs)
-    ct, st, _ = trig_via_tan(np.mod(np.asarray(th, dtype=float), TWO_PI), angle=True)
+    ct, st, _ = trig_via_tan(np.mod(th, TWO_PI), angle=True)
     return drift_hproc_trig(c, s, ct, st, ta, n)
 
 

@@ -218,6 +218,15 @@ def test_drift_symmetry_lines():
     assert drift_Nproc((0.8, 0.0), 2)[1] == 0.0
 
 
+def test_drift_hproc_takes_any_angle():
+    # the quadrant signs of the angle's cosine hold outside [0, 2*pi) too
+    th = np.array([0.3, 2.0, 3.5, 5.0])
+    want = drift_hproc((0.6, th), 1)
+    for shift in (-2 * np.pi, 2 * np.pi):
+        got = drift_hproc((0.6, th + shift), 1)
+        assert np.allclose(got, want, rtol=0, atol=1e-12)
+
+
 @given(sphere_pts, st.integers(1, 2))
 def test_drift_hproc_is_log_gradient(q, n):
     # conditioned drift = base drift + carre-du-champ with log weight
