@@ -410,7 +410,7 @@ SMALL_RUNS = {
 }
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
+@pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
 def test_every_csv_a_command_writes_is_in_csv_names(command, tmp_path):
     assert set(SMALL_RUNS) == set(COMMANDS)
     out = tmp_path / "o"
