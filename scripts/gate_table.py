@@ -5,8 +5,10 @@ per seed.  A value whose check failed is marked with a trailing ``*``.
 
 Each run is a fresh ``python -m heisenpaths.cli`` process on the ``src``
 tree of the checkout this script lives in, writing to a temporary
-directory.  Running it from two checkouts shows their gate values side by
-side, for example before and after a change that alters output bytes.
+directory.  ``--workers`` is passed only to the commands that take it
+(``experiment`` and ``simulate``).  Running it from two checkouts shows
+their gate values side by side, for example before and after a change
+that alters output bytes.
 
 Usage:
     python3 scripts/gate_table.py --seeds 1-5 "experiment tdist" \\
@@ -21,6 +23,9 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+sys.path.insert(0, str(SRC))
+
+from heisenpaths.cli import COMMANDS  # noqa: E402
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -35,8 +40,9 @@ def run(command: list[str], seed: int, workers: int, out: Path) -> dict[str, str
     """Run one command and return its manifest as a dict."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "heisenpaths.cli", *command,
-            "--seed", str(seed), "--workers", str(workers), "--out", str(out)]
+    argv = [sys.executable, "-m", "heisenpaths.cli", *command, "--seed", str(seed), "--out", str(out)]
+    if "workers" in COMMANDS.get(tuple(command[:2]), {}):
+        argv += ["--workers", str(workers)]
     proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if proc.returncode not in (0, 1):
         raise SystemExit(f"{' '.join(command)} --seed {seed} exited {proc.returncode}: {proc.stderr}")

@@ -13,8 +13,10 @@ from heisenpaths.cli import COMMANDS
 from heisenpaths.cli import main as cli
 
 
-def run(root: pathlib.Path, command: tuple[str, str], common: list[str]) -> int:
-    label, args = "-".join(command), [*command, *common]
+def run(root: pathlib.Path, command: tuple[str, str], common: dict[str, int]) -> int:
+    # each command is passed only the keys it takes
+    label = "-".join(command)
+    args = [*command, *(f"{k}={v}" for k, v in common.items() if k in COMMANDS[command])]
     out = root / label
     print(f"== {label}: heisenpaths {' '.join(args)}")
     code = cli(args + ["--out", str(out)])
@@ -31,7 +33,7 @@ def main() -> int:
 
     root = pathlib.Path(ns.root)
     root.mkdir(parents=True, exist_ok=True)
-    common = [f"paths={ns.paths}", f"seed={ns.seed}"]
+    common = {"paths": ns.paths, "seed": ns.seed}
 
     codes = {"-".join(c): run(root, c, common) for c in COMMANDS if c[0] != "simulate"}
     bad = {k: v for k, v in codes.items() if v != 0}

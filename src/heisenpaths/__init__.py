@@ -70,4 +70,4 @@ from .sde import (
 from .timechange import Clock, clock_cayley, clock_kelvin, invert_clock, resample
 from .verify import CheckRecord, verify_geometry, verify_operators
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

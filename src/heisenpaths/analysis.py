@@ -512,13 +512,18 @@ def _pushforward(x0, u_grid, cfg, horizon_a, clock: str, sim_b, chart, gauge, co
     """Body of both law-transport experiments: route A runs the free
     Heisenberg radial motion on ``clock`` and maps its level crossings
     through ``chart``; route B runs ``sim_b`` from the mapped start.  The
-    marginals ``r``, ``coord`` and ``gauge`` are compared per level."""
+    marginals ``r``, ``coord`` and ``gauge`` are compared per level.  The
+    start is mapped first, so one outside the domain of ``chart`` fails
+    before anything is simulated."""
     u_grid = sorted(float(u) for u in u_grid)
+    with np.errstate(all="ignore"):
+        y0 = tuple(float(v) for v in chart(*x0))
+    if not np.all(np.isfinite(y0)):
+        raise ValueError(f"{chart.__name__} cannot map the start point ({x0[0]!r}, {x0[1]!r})")
     runA = replace(cfg, horizon=float(horizon_a))
     ensA = sim_radial_h(runA, x0=x0, clock=clock, levels=u_grid, purpose=PURPOSE_MAIN)
-    y0 = chart(*x0)
     runB = replace(cfg, horizon=float(max(u_grid)))
-    ensB = sim_b(runB, x0=(float(y0[0]), float(y0[1])), record_times=u_grid, purpose=PURPOSE_COMPARE)
+    ensB = sim_b(runB, x0=y0, record_times=u_grid, purpose=PURPOSE_COMPARE)
 
     out: dict = {"u_grid": u_grid, "paths": ensA.paths}
     for j, u in enumerate(u_grid):

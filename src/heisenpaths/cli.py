@@ -4,8 +4,9 @@ serialization of results.
 Every command resolves its parameters the same way: built-in defaults, then
 a ``key = value`` config file (``--config``), then command-line overrides
 (``--seed``/``--out``/``--workers`` flags and positional ``key=value``
-pairs).  Unknown keys are rejected.  Each run writes into its output
-directory:
+pairs).  A command takes only the keys it reads, as ``COMMANDS`` lists
+them, and has a flag only for those; any other key is rejected.  Each run
+writes into its output directory:
 
 * ``manifest.txt`` — flat sorted ``key = value`` lines: the resolved config
   echo (execution-only keys like the worker count excluded), tool version,
@@ -33,7 +34,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -101,39 +102,35 @@ def _parse_str(s: str) -> str:
 # a key parses by the type of its default
 _PARSERS = {int: _parse_int, float: _parse_float, tuple: _parse_floats, str: _parse_str}
 
-SIM_DEFAULTS = {
-    "n": 1,
-    "step": 1e-3,
-    "horizon": 1.0,
-    "paths": 20_000,
-    "seed": 1,
-    "pole_eps": 1e-3,
-    "r_floor": 1e-6,
-    "tame": 4.0,
-    "workers": 1,
-}
-
 # keys that describe execution, not the experiment: excluded from the
 # manifest's config echo so reruns compare byte-identical
 ECHO_EXCLUDE = {"workers", "out"}
 
-# every command with the defaults of its own keys, on top of SIM_DEFAULTS;
-# ``out`` defaults to ``<group>_<target>_out`` and ``tol.<check>``
-# overrides are taken by the verify commands only
+# the simulation keys (``SimConfig`` fields) of the simulators, by the
+# guards and absorption floor they read, and of the experiments, which set
+# the horizon of each of their runs from their own keys
+_FREE = {"n": 1, "step": 1e-3, "horizon": 1.0, "paths": 20_000, "seed": 1, "workers": 1}
+_GUARDED = {**_FREE, "r_floor": 1e-6, "tame": 4.0}
+_ABSORBING = {**_GUARDED, "pole_eps": 1e-3}
+_EXPERIMENT = {k: v for k, v in _ABSORBING.items() if k != "horizon"}
+
+# every command with the defaults of every key it reads; ``out`` defaults to
+# ``<group>_<target>_out`` and ``tol.<check>`` overrides are taken by the
+# verify commands only
 COMMANDS = {
-    ("verify", "geometry"): {},
-    ("verify", "operators"): {},
-    ("experiment", "cayley"): {"x0_r": 0.0, "x0_t": 0.0, "u_grid": (0.3,), "horizon_a": 25.0},
-    ("experiment", "kelvin"): {"x0_r": 1.0, "x0_t": 0.0, "u_grid": (0.2,), "horizon_a": 50.0},
-    ("experiment", "tdist"): {"x0_r": 0.0, "x0_t": 0.0, "ts": (0.0, 0.25, 0.5, 1.0, 2.0)},
+    ("verify", "geometry"): {"seed": 1},
+    ("verify", "operators"): {"seed": 1},
+    ("experiment", "cayley"): {**_EXPERIMENT, "x0_r": 0.0, "x0_t": 0.0, "u_grid": (0.3,), "horizon_a": 25.0},
+    ("experiment", "kelvin"): {**_EXPERIMENT, "x0_r": 1.0, "x0_t": 0.0, "u_grid": (0.2,), "horizon_a": 50.0},
+    ("experiment", "tdist"): {**_EXPERIMENT, "x0_r": 0.0, "x0_t": 0.0, "ts": (0.0, 0.25, 0.5, 1.0, 2.0)},
     ("experiment", "semigroup"): {
-        "x0_r": 0.0, "x0_t": 0.0, "t_grid": (0.25, 0.5), "xn_r": 1.0, "xn_t": 0.0, "tn": 0.5,
+        **_EXPERIMENT, "x0_r": 0.0, "x0_t": 0.0, "t_grid": (0.25, 0.5), "xn_r": 1.0, "xn_t": 0.0, "tn": 0.5,
     },
-    ("simulate", "full-h"): {"x0_t": 0.0, "record": ()},
-    ("simulate", "radial-h"): {"x0_r": 0.0, "x0_t": 0.0, "record": ()},
-    ("simulate", "radial-s"): {"x0_r": 0.0, "x0_t": 0.0, "record": ()},
-    ("simulate", "hproc"): {"x0_r": 0.0, "x0_t": 0.0, "record": ()},
-    ("simulate", "nproc"): {"x0_r": 1.0, "x0_t": 0.0, "record": ()},
+    ("simulate", "full-h"): {**_FREE, "x0_t": 0.0, "record": ()},
+    ("simulate", "radial-h"): {**_GUARDED, "x0_r": 0.0, "x0_t": 0.0, "record": ()},
+    ("simulate", "radial-s"): {**_GUARDED, "x0_r": 0.0, "x0_t": 0.0, "record": ()},
+    ("simulate", "hproc"): {**_ABSORBING, "x0_r": 0.0, "x0_t": 0.0, "record": ()},
+    ("simulate", "nproc"): {**_ABSORBING, "x0_r": 1.0, "x0_t": 0.0, "record": ()},
 }
 
 
@@ -158,7 +155,7 @@ def _read_config_file(path: str) -> dict[str, str]:
 def resolve_config(command: tuple[str, str], raw: dict[str, str]) -> tuple[dict, dict[str, float]]:
     """Typed config plus tolerance overrides from raw key=value strings."""
     group, target = command
-    defaults = {**SIM_DEFAULTS, **COMMANDS[command], "out": f"{group}_{target}_out"}
+    defaults = {**COMMANDS[command], "out": f"{group}_{target}_out"}
     cfg = dict(defaults)
     tol: dict[str, float] = {}
     for key, value in raw.items():
@@ -178,8 +175,14 @@ def resolve_config(command: tuple[str, str], raw: dict[str, str]) -> tuple[dict,
 
 
 def _sim_config(cfg: dict) -> SimConfig:
+    """``SimConfig`` of the simulation keys in ``cfg``; the fields a command
+    does not take keep their ``SimConfig`` defaults.  Without ``horizon``
+    the horizon is one step: each experiment run replaces it."""
+    sim = {f.name: cfg[f.name] for f in fields(SimConfig) if f.name in cfg}
+    if "step" in sim:
+        sim.setdefault("horizon", sim["step"])
     try:
-        return SimConfig(**{k: cfg[k] for k in SIM_DEFAULTS})
+        return SimConfig(**sim)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -531,7 +534,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("target", choices=choices)
         p.add_argument("--config", help="flat key = value config file")
         for key in _FLAGS:
-            p.add_argument(f"--{key}")
+            if key == "out" or any(key in COMMANDS[group, target] for target in choices):
+                p.add_argument(f"--{key}")
     return parser
 
 
@@ -551,10 +555,10 @@ def main(argv=None) -> int:
             key, _, value = item.partition("=")
             raw[key.strip()] = value.strip()
         for key in _FLAGS:
-            if getattr(args, key) is not None:
+            if getattr(args, key, None) is not None:
                 raw[key] = getattr(args, key)
         cfg, tol = resolve_config(command, raw)
-        _sim_config(cfg)  # every command shares the simulation keys: validate up front
+        _sim_config(cfg)  # validate the simulation keys (a verify seed too) up front
         writer = RunWriter(cfg["out"])
 
         t0 = time.perf_counter()
@@ -584,7 +588,7 @@ def main(argv=None) -> int:
             f"started {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n",
             f"command {' '.join(command)}\n",
             f"version {__version__}\n",
-            f"workers {cfg['workers']}\n",
+            f"workers {cfg.get('workers', 1)}\n",
             f"elapsed_s {t2 - t0:.3f}\n",
             f"phase.drive_s {t1 - t0:.3f}\n",
             f"phase.format_s {t2 - t1:.3f}\n",

@@ -421,7 +421,9 @@ def residual_kelvin(F: TestFunction, p, n: int, step: float = 1e-4):
 # test-function baskets (exact partials, even in the radial variable)
 
 
-def _basket_sphere():
+def sphere_basket() -> list[TestFunction]:
+    """Smooth test functions of ``(rs, th)`` with exact jets."""
+
     def s2cos(u, v):
         s2, s2u = np.sin(u) ** 2, np.sin(2 * u)
         c, s = np.cos(v), np.sin(v)
@@ -468,7 +470,9 @@ def _basket_sphere():
     ]
 
 
-def _basket_heis():
+def heis_basket() -> list[TestFunction]:
+    """Smooth test functions of ``(r, t)`` with exact jets."""
+
     def r2(u, v):
         z = np.zeros(np.broadcast(u, v).shape)
         return Jet2(u**2 + z, 2 * u + z, z, 2.0 + z, z, z)
@@ -505,13 +509,3 @@ def _basket_heis():
         TestFunction("mixquad", mixquad),
         TestFunction("invq", invq),
     ]
-
-
-def sphere_basket() -> list[TestFunction]:
-    """Smooth test functions of ``(rs, th)`` with exact jets."""
-    return _basket_sphere()
-
-
-def heis_basket() -> list[TestFunction]:
-    """Smooth test functions of ``(r, t)`` with exact jets."""
-    return _basket_heis()

@@ -507,7 +507,7 @@ def sim_radial_h(
     def step(s, dw):
         r = s["r"]
         re = np.maximum(r, guard)
-        disp = np.clip((2 * n - 1) / (2.0 * re) * dt, -cap, cap)
+        disp = _clip((2 * n - 1) / (2.0 * re) * dt, cap)
         return {
             "r": np.maximum(np.abs(r + disp + sq * dw[0]), cfg.r_floor),
             "t": s["t"] + r * sq * dw[1],
@@ -637,8 +637,8 @@ def sim_Nproc(
         re = np.maximum(r, guard)
         br, bt = drift_Nproc((re, t), n)
         return {
-            "r": np.maximum(np.abs(r + np.clip(br * dt, -cap, cap) + sq * dw[0]), cfg.r_floor),
-            "t": t + np.clip(bt * dt, -cap, cap) + r * sq * dw[1],
+            "r": np.maximum(np.abs(r + _clip(br * dt, cap) + sq * dw[0]), cfg.r_floor),
+            "t": t + _clip(bt * dt, cap) + r * sq * dw[1],
         }
 
     def absorb(s):

@@ -4,6 +4,7 @@ reproducibility."""
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,6 @@ from heisenpaths.cli import (
     COMMANDS,
     CSV_CHUNK_ROWS,
     CSV_NAMES,
-    SIM_DEFAULTS,
     ConfigError,
     _csv_chunks,
     _fmt,
@@ -64,8 +64,11 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_bad_n_rejected(tmp_path):
-    assert main(["verify", "operators", "--out", str(tmp_path / "g"), "n=0"]) == 2
+def test_bad_n_rejected(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["simulate", "radial-h", "paths=2", "horizon=0.002", "n=0", "--out", str(out)]) == 2
+    assert "n must be a positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_out_parent(tmp_path):
@@ -88,6 +91,33 @@ def test_too_few_law_samples_is_config_error(tmp_path, capsys):
     argv = ["experiment", "cayley", "paths=8", "step=5e-3", "horizon_a=5", "--seed", "1"]
     assert main(argv + ["--out", str(tmp_path / "c")]) == 2
     assert "config error: need at least 10 samples on each side" in capsys.readouterr().err
+
+
+def test_start_outside_the_map_domain_fails_before_simulating(tmp_path, capsys, monkeypatch):
+    # the gauge inversion is undefined at the origin: the start must be
+    # rejected by name before route A steps a single path
+    from heisenpaths import analysis
+
+    def no_route_a(*args, **kwargs):
+        raise AssertionError("route A was simulated")
+
+    monkeypatch.setattr(analysis, "sim_radial_h", no_route_a)
+    out = tmp_path / "k"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["experiment", "kelvin", "x0_r=0", "x0_t=0", "--out", str(out)]) == 2
+    assert not caught
+    assert "kelvin_radial cannot map the start point (0.0, 0.0)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_experiment_horizon_is_not_checked_against_step(tmp_path):
+    # each experiment run sets its own horizon, so a step that does not
+    # divide the old default horizon of 1 is no config error
+    out = tmp_path / "c"
+    argv = ["experiment", "cayley", "step=3e-3", "horizon_a=24", "paths=400", "--seed", "1"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert "config.horizon" not in read_manifest(out / "manifest.txt")
 
 
 def test_bad_start_point_is_config_error(tmp_path):
@@ -131,29 +161,43 @@ def test_start_radius_outside_domain_is_config_error(tmp_path, capsys, target, x
 )
 def test_non_finite_value_is_config_error(tmp_path, capsys, command, bad):
     out = tmp_path / "o"
-    # later overrides win, so the bad value replaces the small defaults
-    argv = command.split() + ["paths=8", "horizon=0.01", bad, "--out", str(out)]
+    # later overrides win, so the bad value replaces the small defaults of
+    # the keys the command takes
+    keys = COMMANDS[tuple(command.split())]
+    small = [item for item in ("paths=8", "horizon=0.01") if item.partition("=")[0] in keys]
+    argv = command.split() + small + [bad, "--out", str(out)]
     assert main(argv) == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
 
 
+RADIAL_H = ["simulate", "radial-h", "paths=2", "horizon=0.002"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--seed", "-1"],
-        ["seed=-1"],
-        ["seed=18446744073709551616"],
-        ["seed=9007199254740993.0"],  # a float literal would round to 2**53
-        ["seed=1.5"],
+        [*RADIAL_H, "--seed", "-1"],
+        [*RADIAL_H, "seed=-1"],
+        [*RADIAL_H, "seed=18446744073709551616"],
+        [*RADIAL_H, "seed=9007199254740993.0"],  # a float literal would round to 2**53
+        [*RADIAL_H, "seed=1.5"],
+        # verify takes no other simulation key, yet range-checks its seed
+        ["verify", "geometry", "--seed", "-1"],
+        ["verify", "geometry", "seed=18446744073709551616"],
     ],
 )
 def test_bad_seed_is_config_error(tmp_path, capsys, argv):
     out = tmp_path / "o"
-    base = ["simulate", "radial-h", "paths=2", "horizon=0.002", "--out", str(out)]
-    assert main(base + argv) == 2
+    assert main(argv + ["--out", str(out)]) == 2
     assert "seed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_has_no_workers_flag(tmp_path):
+    with pytest.raises(SystemExit) as e:
+        main(["verify", "geometry", "--workers", "2", "--out", str(tmp_path / "o")])
+    assert e.value.code == 2
 
 
 @pytest.mark.parametrize("seed", ["9007199254740993", str(2**64 - 1)])
@@ -173,13 +217,44 @@ LIST_KEYS = {"u_grid", "ts", "t_grid", "record"}
 STR_KEYS = {"out"}
 
 
+# the keys each command took, though it did not read them, until it came to
+# take only the keys it reads: each is now an unknown key there
+DROPPED = [
+    *[(c, k) for c in COMMANDS if c[0] == "verify"
+      for k in ("n", "step", "horizon", "paths", "pole_eps", "r_floor", "tame", "workers")],
+    *[(c, "horizon") for c in COMMANDS if c[0] == "experiment"],
+    *[(("simulate", "full-h"), k) for k in ("pole_eps", "r_floor", "tame")],
+    (("simulate", "radial-h"), "pole_eps"),
+    (("simulate", "radial-s"), "pole_eps"),
+]
+
+
+def test_settable_keys_per_command():
+    counts = {" ".join(c): len(resolve_config(c, {})[0]) for c in COMMANDS}
+    assert counts == {
+        "verify geometry": 2, "verify operators": 2,
+        "experiment cayley": 13, "experiment kelvin": 13,
+        "experiment tdist": 12, "experiment semigroup": 15,
+        "simulate full-h": 9, "simulate radial-h": 12, "simulate radial-s": 12,
+        "simulate hproc": 13, "simulate nproc": 13,
+    }
+    assert sum(counts.values()) == 116 and len(set(DROPPED)) == 25
+
+
 @pytest.mark.parametrize(
     "command, key",
-    [(c, k) for c in COMMANDS for k in [*SIM_DEFAULTS, *COMMANDS[c], "out"]],
+    [(c, k) for c in COMMANDS for k in [*COMMANDS[c], "out"]] + DROPPED,
     ids=lambda v: "-".join(v) if isinstance(v, tuple) else v,
 )
-def test_key_parses_by_its_kind(command, key):
-    if key in INT_KEYS:
+def test_key_parses_by_its_kind(command, key, tmp_path, capsys):
+    """Each key a command takes parses by the type of its default; each
+    ``DROPPED`` key is unknown to its command and exits 2."""
+    if (command, key) in DROPPED:
+        out = tmp_path / "o"
+        assert main([*command, f"{key}=1", "--out", str(out)]) == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+    elif key in INT_KEYS:
         assert resolve_config(command, {key: "2"})[0][key] == 2
         with pytest.raises(ConfigError):
             resolve_config(command, {key: "1.5"})
