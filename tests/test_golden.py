@@ -20,7 +20,7 @@ tolerance at its default.  Digests depend
 on numpy's Philox stream and on the platform's floating point; those of
 runs through ``sim_hproc`` (cayley, tdist, semigroup, hproc) also depend on
 whether ``np.tan`` runs on numpy's SIMD lanes.  A numpy upgrade that changes
-them is a contract change too.  They are pinned at ``meta.version`` 0.2.0
+them is a contract change too.  They are pinned at ``meta.version`` 0.3.0
 on an AVX-512 x86-64 machine with numpy 2.4.
 """
 
@@ -34,79 +34,79 @@ from heisenpaths.cli import main
 RUNS = {
     "verify-geometry": (
         ["verify", "geometry"],
-        0, "7aa59529dc6ee9d797ec415128f26c3d14a2c8352d6793228848ca9683586ab3",
+        0, "bc0fb4471db20ac64cd2ee164e3b99bb9fbe9490d17d89433a7ae7c110a2f282",
     ),
     "verify-operators": (
         ["verify", "operators"],
-        0, "784f42f35506abd1687f849f70a0a221eb168008c85047ec4a5cf8d5f6884a28",
+        0, "d06a9a8f29993906ee38b36dea9850568900a683d2acbaacc929aedde0cb0f92",
     ),
     "cayley": (
         ["experiment", "cayley", "paths=4196", "step=2e-3", "u_grid=0.1,0.3", "horizon_a=1"],
-        0, "a26044343d5b606e8933b2db8dd686288a9155ead478440deed4792e45bb3647",
+        0, "e42436f23744bce39c21baccd91385fc449f581f5a997d79eb1c249e2967eb41",
     ),
     "kelvin": (
         ["experiment", "kelvin", "paths=1000", "step=2e-3", "horizon_a=5"],
-        1, "fa0aaedb4b599f7c7e8422d55473381b18285e70e78b4085a721827422761e5f",
+        1, "da7d8cd67051ed9ddfb96f529cc0c9443be8fa1d80a754a315a0d599c81cd855",
     ),
     "tdist": (
         ["experiment", "tdist", "paths=2000", "step=2e-3", "ts=0,0.25,0.5"],
-        0, "8a6cb7f3132742ec584ef1086f072c66b3ab253b3bf9a6796c1ea9691b4d5fb3",
+        0, "cc0142fb330dc46590c270f4f5211efae1668dcb6f6737dae8fbcbb9b71b120c",
     ),
     "tdist-absorbed": (
         ["experiment", "tdist", "paths=64", "step=5e-3", "pole_eps=0.05", "ts=0,1,4,16"],
-        1, "bec92f7f11c5672b1c90b44eca7c1b8875c57f415903d16f527dbf99b7aaa6bf",
+        1, "708cb42945d3f5f169f81696d9a4e5247b513c104b3623df7e8835c6116ac5a8",
     ),
     "semigroup": (
         ["experiment", "semigroup", "paths=500", "step=5e-3", "t_grid=0.25"],
-        0, "5dd73bc3a3822add86cefef8c766d1cc694f1e48cb03de27acabffcaedaf7ca9",
+        0, "26394aab28d09037eb76f01bdf087a07758bbc0fd367424ea732e65b9945457a",
     ),
     "radial-h": (
         ["simulate", "radial-h", "paths=10", "horizon=0.05", "step=2e-3", "x0_r=0.3",
          "record=0,0.02,0.05"],
-        0, "02b36c608a638b3787a4c6eb79b6689b9c2ec4d95b378a6c33d0569c0cce269f",
+        0, "188775e806be5d2d916bc9acec5b48b47e1ba497090454cd51fa17706921771b",
     ),
     "radial-s": (
         ["simulate", "radial-s", "paths=6", "horizon=0.02", "step=2e-3", "x0_r=0.7", "x0_t=1.0"],
-        0, "e0e03e7b64010e3ba103e651ec10a38602ab444670806e6f0e56c6c2e489986b",
+        0, "0834f7ad65ba0dcf0d472fb1e9d20565983b4597cf9e06bb620b299413cb9a5c",
     ),
     "radial-s-equator": (
         ["simulate", "radial-s", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
-        0, "a60eac048cb74949b0a5b524b0c31ed5fd0dfd68f8c0102cca3da50d640f55fb",
+        0, "01140de386bf03d0695a35a168b56085388663ff3469ff59c1d365eeff74645b",
     ),
     "radial-s-wrap": (
         ["simulate", "radial-s", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=0.7", "x0_t=6.28"],
-        0, "bc859f78c1df2429f9baa142c183ccef7798bc9bb47c51b94702392f56c2cc9c",
+        0, "6e79f70569b40fb9614788b179e8a1ee60c004aa52d47c475c8b668329b4544a",
     ),
     "full-h": (
         ["simulate", "full-h", "n=2", "paths=4", "horizon=0.02", "step=2e-3"],
-        0, "e8f6b341d2ce360d03ea75b844cd8217a30b5effcdf10f1ddbbe20fee6405664",
+        0, "9e5c59221be6dd88c60697d1136ee5ad38adfd29ca0d3f75e5836df7189a6217",
     ),
     "full-h-chunks": (
         ["simulate", "full-h", "n=2", "paths=1700", "horizon=0.05", "step=5e-3"],
-        0, "c32cc318786f41510967dd48dba61fe9e096ea72db7945d8ca540721bf5c0c8b",
+        0, "b8760e1773f6b10080282ad81810a86a766451bbcca91192754205175063aa81",
     ),
     "hproc": (
         ["simulate", "hproc", "paths=32", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
          "x0_r=0.2", "x0_t=2.5", "record=0,0.5,1"],
-        0, "5b2bfb4d8b90f4d60660436668ba3d1ae5f0a6d2c925ff8a65f3ce88ddc569b6",
+        0, "145adf2020958e67f10d30e0df93b90182f4739f550115b9db18fc4c819eded8",
     ),
     "hproc-chunks": (
         ["simulate", "hproc", "paths=1700", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
          "x0_r=0.2", "x0_t=2.5"],
-        0, "134eb3ffe531ea588bb1da791a9f87dda7067af64b94e6d182d86119e17742ce",
+        0, "abf08c2b125419cf95c75f0a71294439b16d506e048e2628ebcd97e34025d1e0",
     ),
     "hproc-equator": (
         ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
-        0, "ef478e29e870f8d28305b8b16c06cbcdbe90bed042c57c05268d260ddb34f809",
+        0, "9503c0fd000f7700f5da7ec6937e49e42bc160d6e27d77a0f075447245199472",
     ),
     "hproc-wrap": (
         ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=0.7", "x0_t=6.28"],
-        0, "e81c2fbb61d1e4a6f5a2e4226db16cc162f6fb556ceb7c6d6c1bf637ee226435",
+        0, "15efbf36bcb02b570348c1dd41023f85e2aa07fbdc9d568758e65817fd536c70",
     ),
     "nproc": (
         ["simulate", "nproc", "paths=32", "horizon=1.0", "step=5e-3", "x0_r=0.3",
          "record=0.25,0.5,1"],
-        0, "37f8350a7626a3e6d3adc68239506e7d21ac39d65d8f73eb5f4bc58cfe08acde",
+        0, "64f73c9e30f618be3005754518715e889c7df9643e360d8138065bc105289a4e",
     ),
 }
 
