@@ -217,8 +217,7 @@ LIST_KEYS = {"u_grid", "ts", "t_grid", "record"}
 STR_KEYS = {"out"}
 
 
-# the keys each command took, though it did not read them, until it came to
-# take only the keys it reads: each is now an unknown key there
+# simulation keys that these commands do not read, and so reject as unknown
 DROPPED = [
     *[(c, k) for c in COMMANDS if c[0] == "verify"
       for k in ("n", "step", "horizon", "paths", "pole_eps", "r_floor", "tame", "workers")],
