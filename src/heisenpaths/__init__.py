@@ -10,12 +10,10 @@ from .analysis import (
     ergodic_expected,
     ergodic_experiment,
     green_H_pole,
-    green_H_two,
     green_S_pole,
     green_relation_ratio,
     ks_critical,
     ks_two_sample,
-    martingale_residual,
     pushforward_experiment_cayley,
     pushforward_experiment_kelvin,
     survival_T,
@@ -32,7 +30,6 @@ from .geometry import (
     cayley1_chart,
     cayley1_chart_inv,
     cayley1_full,
-    cayley2_full,
     cayley2_inv,
     group_inv,
     group_mul,
@@ -49,8 +46,6 @@ from .operators import (
     apply_LS,
     drift_hproc,
     drift_Nproc,
-    gamma_H,
-    gamma_S,
     heis_basket,
     residual_conj_cayley,
     residual_doob,
@@ -67,7 +62,6 @@ from .sde import (
     sim_radial_h,
     sim_radial_s,
 )
-from .timechange import Clock, clock_cayley, clock_kelvin, invert_clock, resample
 from .verify import CheckRecord, verify_geometry, verify_operators
 
 __version__ = "0.3.0"

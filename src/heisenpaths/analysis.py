@@ -28,34 +28,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import (
-    HPoint,
-    cayley1_chart,
-    cayley1_chart_inv,
-    group_inv,
-    group_mul,
-    h_fun,
-    h_tilde,
-    kelvin_radial,
-    koranyi_N,
-)
-from .operators import TestFunction, apply_LH, apply_LS
+from .geometry import cayley1_chart, cayley1_chart_inv, h_fun, h_tilde, kelvin_radial, koranyi_N
+from .operators import TestFunction
 from .rng import PURPOSE_COMPARE, PURPOSE_MAIN
-from .sde import (
-    PathEnsemble,
-    SimConfig,
-    sim_hproc,
-    sim_Nproc,
-    sim_radial_h,
-    sim_radial_s,
-)
+from .sde import SimConfig, sim_hproc, sim_Nproc, sim_radial_h, sim_radial_s
 
 __all__ = [
     "MCEstimate",
     "SurvivalCurve",
     "green_constant",
     "green_H_pole",
-    "green_H_two",
     "green_S_pole",
     "green_relation_ratio",
     "survival_eigenfactor",
@@ -64,7 +46,6 @@ __all__ = [
     "doob_semigroup_check_N",
     "ks_two_sample",
     "ks_critical",
-    "martingale_residual",
     "pushforward_experiment_cayley",
     "pushforward_experiment_kelvin",
     "tdist_experiment",
@@ -132,14 +113,6 @@ def green_H_pole(p, n: int):
     at ``p = (r, t)``."""
     r, t = p
     return green_constant(n) * koranyi_N(r, t) ** (-0.5 * n)
-
-
-def green_H_two(p: HPoint, q: HPoint, n: int) -> float:
-    """Two-point kernel ``c_n N(q^(-1) p)^(-n/2)``; left-invariant and
-    symmetric because the gauge is inverse-invariant."""
-    d = group_mul(group_inv(q), p)
-    rad = d.radial()
-    return float(green_H_pole((rad.r_h, rad.t), n))
 
 
 def green_S_pole(q, n: int):
@@ -450,37 +423,6 @@ def ks_critical(alpha: float, m: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# pathwise generator check
-
-
-def martingale_residual(
-    f: TestFunction,
-    ens: PathEnsemble,
-    side: str,
-    n: int,
-    compensate: bool = True,
-) -> MCEstimate:
-    """Mean terminal value of ``f(X_T) - f(X_0) - (1/2) int L f(X_s) ds``
-    along a densely recorded ensemble (trapezoid in time); zero in law for
-    the matching generator.  With ``compensate=False`` the integral term is
-    dropped, which turns the residual into a drift meter.
-    """
-    if side == "sphere":
-        u, v, op = ens.states["r"], ens.states["th"], apply_LS
-    elif side == "heis":
-        u, v, op = ens.states["r"], ens.states["t"], apply_LH
-    else:
-        raise ValueError(f"unknown side {side!r}")
-    vals = f.eval(u, v)
-    res = vals[-1] - vals[0]
-    if compensate:
-        lf = 0.5 * op(f, (u, v), n)
-        dt = np.diff(ens.times)[:, None]
-        res = res - np.sum(0.5 * dt * (lf[:-1] + lf[1:]), axis=0)
-    return _mean_se(res)
-
-
-# ---------------------------------------------------------------------------
 # law-transport experiments
 
 
@@ -513,17 +455,25 @@ def _pushforward(x0, u_grid, cfg, horizon_a, clock: str, sim_b, chart, gauge, co
     Heisenberg radial motion on ``clock`` and maps its level crossings
     through ``chart``; route B runs ``sim_b`` from the mapped start.  The
     marginals ``r``, ``coord`` and ``gauge`` are compared per level.  The
-    start is mapped first, so one outside the domain of ``chart`` fails
-    before anything is simulated."""
+    start is mapped first and route B runs before route A, so a start
+    outside the domain of ``chart``, or one that maps into route B's
+    absorption region, fails before route A steps a path.  The two routes
+    draw from their own streams, so their order changes no output."""
     u_grid = sorted(float(u) for u in u_grid)
     with np.errstate(all="ignore"):
         y0 = tuple(float(v) for v in chart(*x0))
     if not np.all(np.isfinite(y0)):
         raise ValueError(f"{chart.__name__} cannot map the start point ({x0[0]!r}, {x0[1]!r})")
+    runB = replace(cfg, horizon=float(max(u_grid)))
+    try:
+        ensB = sim_b(runB, x0=y0, record_times=u_grid, purpose=PURPOSE_COMPARE)
+    except ValueError as e:
+        raise ValueError(
+            f"{chart.__name__} maps the start point ({x0[0]!r}, {x0[1]!r}) to ({y0[0]!r}, {y0[1]!r}),"
+            f" and route B fails there: {e}"
+        ) from e
     runA = replace(cfg, horizon=float(horizon_a))
     ensA = sim_radial_h(runA, x0=x0, clock=clock, levels=u_grid, purpose=PURPOSE_MAIN)
-    runB = replace(cfg, horizon=float(max(u_grid)))
-    ensB = sim_b(runB, x0=y0, record_times=u_grid, purpose=PURPOSE_COMPARE)
 
     out: dict = {"u_grid": u_grid, "paths": ensA.paths}
     for j, u in enumerate(u_grid):
@@ -599,14 +549,8 @@ def ergodic_expected(n: int) -> float:
     return 1.0 / (n + 1)
 
 
-def ergodic_experiment(cfg: SimConfig, x0: tuple[float, float] = (0.4, 0.0), burn: float = 0.0) -> MCEstimate:
-    """Time average of ``cos(rs)^2`` along the free sphere motion; compare
-    with :func:`ergodic_expected`."""
-    ens = sim_radial_s(
-        cfg,
-        x0=x0,
-        averages={"c2": lambda r, th: np.cos(r) ** 2},
-        burn=burn,
-        purpose=PURPOSE_MAIN,
-    )
+def ergodic_experiment(cfg: SimConfig, x0: tuple[float, float] = (0.4, 0.0)) -> MCEstimate:
+    """Time average of ``cos(rs)^2`` over ``[0, horizon]`` along the free
+    sphere motion, started at ``x0``; compare with :func:`ergodic_expected`."""
+    ens = sim_radial_s(cfg, x0=x0, averages={"c2": lambda r, th: np.cos(r) ** 2}, purpose=PURPOSE_MAIN)
     return _mean_se(ens.averages["c2"])

@@ -48,7 +48,6 @@ __all__ = [
     "cayley1_full",
     "cayley1_chart",
     "cayley1_chart_inv",
-    "cayley2_full",
     "cayley2_inv",
     "kelvin",
     "kelvin_radial",
@@ -303,25 +302,12 @@ def ambient_to_cyl(w) -> tuple[np.ndarray, np.ndarray]:
 # second chart (omits e_n) and the gauge inversion
 
 
-def cayley2_full(p: HPoint) -> SAmbient:
-    """Second chart map, centered so the origin goes to ``-e_n``.
-
-    ``zeta_j = 2 conj(z_j) / d2`` and ``zeta_last = -(1 - |z|^2 - 2it) / d2``
-    with ``d2 = (1 + |z|^2) + 2it``; the image never reaches ``+e_n``.  The
-    conjugation makes this the mirror chart: only an antiholomorphic second
-    chart composes with the first one into an involution (see
-    :func:`kelvin`), and points with real ``z`` — where the distinction
-    disappears — come out the same either way.
-    """
-    r2 = float(np.sum(np.abs(p.z) ** 2))
-    d2 = (1.0 + r2) + 2j * p.t
-    zeta = np.concatenate([2.0 * np.conj(p.z) / d2, [-((1.0 - r2) - 2j * p.t) / d2]])
-    return SAmbient(zeta)
-
-
 def cayley2_inv(q: SAmbient) -> HPoint:
-    """Exact inverse of :func:`cayley2_full`:
-    ``z = conj(zeta'/(1 - zeta_last))``, ``t = Im(2/(1 - zeta_last))/2``."""
+    """Inverse of the second chart, the mirror of the first: it omits
+    ``+e_n``, sends ``-e_n`` to the origin and conjugates ``z``, as only an
+    antiholomorphic second chart composes with the first into an involution
+    (see :func:`kelvin`).  ``z = conj(zeta'/(1 - zeta_last))``,
+    ``t = Im(2/(1 - zeta_last))/2``."""
     wl = q.zeta[-1]
     den = 1.0 - wl
     if abs(den) < POLE_TOL:

@@ -49,8 +49,6 @@ __all__ = [
     "exp_jet",
     "apply_LS",
     "apply_LH",
-    "gamma_S",
-    "gamma_H",
     "sphere_generator",
     "heis_generator",
     "sphere_carre",
@@ -251,18 +249,6 @@ def apply_LH(f: TestFunction, p, n: int):
     r, t = p
     r = np.asarray(r, dtype=float)
     return heis_generator(f.jet(r, t), r, n)
-
-
-def gamma_S(f: TestFunction, g: TestFunction, q):
-    """Carre du champ of two test functions at sphere points ``q = (rs, th)``."""
-    rs, th = q
-    return sphere_carre(f.jet(rs, th), g.jet(rs, th), rs)
-
-
-def gamma_H(f: TestFunction, g: TestFunction, p):
-    """Carre du champ of two test functions at group points ``p = (r, t)``."""
-    r, t = p
-    return heis_carre(f.jet(r, t), g.jet(r, t), r)
 
 
 def drift_hproc(q, n: int):

@@ -320,7 +320,6 @@ def _simulate(
     clock: str | None = None,
     levels: Sequence[float] = (),
     averages: Mapping[str, Callable] | None = None,
-    burn_steps: int = 0,
 ) -> PathEnsemble:
     """The stepping loop behind every simulator (see the module docstring).
 
@@ -371,9 +370,8 @@ def _simulate(
             if k >= last and not (averages or pending or (absorb and alive_kept.any())):
                 break
             dw = rng.standard_normal((noise, width))
-            if k >= burn_steps:
-                for name, f in averages.items():
-                    acc[name] += f(*(s[c] for c in coords)) * dt
+            for name, f in averages.items():
+                acc[name] += f(*(s[c] for c in coords)) * dt
             new = step(s, dw)
             if absorb:
                 dead = ~alive
@@ -399,9 +397,8 @@ def _simulate(
             s = new
             if k + 1 in slots:
                 record(slots[k + 1])
-        span = (cfg.steps - burn_steps) * dt
         for name in acc:
-            out["avg", name] = acc[name] / span
+            out["avg", name] = acc[name] / (cfg.steps * dt)
         return out
 
     flat = _run_blocked(cfg, purpose, kernel)
@@ -525,17 +522,13 @@ def sim_radial_s(
     x0: tuple[float, float] = (0.0, 0.0),
     record_times: Sequence[float] = (),
     averages: Mapping[str, Callable] | None = None,
-    burn: float = 0.0,
     purpose: int = PURPOSE_MAIN,
 ) -> PathEnsemble:
     """Radial sphere diffusion ``(rs, th)``.
 
     ``averages`` maps names to functions ``f(rs, th)`` accumulated as
-    left-point time averages over ``(burn, horizon]``.
+    left-point time averages over ``[0, horizon]``.
     """
-    burn_steps = int(round(burn / cfg.step))
-    if not 0 <= burn_steps < cfg.steps:
-        raise ValueError("burn must lie inside the horizon")
     dt, sq = cfg.step, np.sqrt(cfg.step)
     n = cfg.n
     cap = _drift_cap(cfg)
@@ -556,9 +549,7 @@ def sim_radial_s(
             "th": _wrap_angle(s["th"] + ta * sq * dw[1]),
         }
 
-    return _simulate(
-        cfg, purpose, record_times, ("r", "th"), start, step, averages=averages, burn_steps=burn_steps
-    )
+    return _simulate(cfg, purpose, record_times, ("r", "th"), start, step, averages=averages)
 
 
 # ---------------------------------------------------------------------------

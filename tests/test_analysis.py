@@ -8,24 +8,25 @@ from heisenpaths.analysis import (
     MCEstimate,
     _kolmogi,
     _kolmogorov,
+    _mean_se,
     doob_semigroup_check,
     doob_semigroup_check_N,
     ergodic_expected,
     ergodic_experiment,
     green_constant,
     green_H_pole,
-    green_H_two,
     green_relation_ratio,
     green_S_pole,
     ks_critical,
     ks_two_sample,
-    martingale_residual,
     survival_eigenfactor,
     survival_T,
     tdist_experiment,
 )
-from heisenpaths.geometry import HPoint, cayley1_chart
+from heisenpaths.geometry import HPoint, cayley1_chart, group_inv, group_mul
 from heisenpaths.operators import (
+    apply_LH,
+    apply_LS,
     h_fun_jet,
     heis_basket,
     power_jet,
@@ -50,6 +51,13 @@ def test_green_pole_frozen():
     assert green_H_pole((1.0, 0.0), 1) == pytest.approx(1.0 / (8 * np.pi), rel=1e-14)
 
 
+def green_H_two(p: HPoint, q: HPoint, n: int) -> float:
+    """Two-point kernel ``c_n N(q^(-1) p)^(-n/2)``; left-invariant and
+    symmetric because the gauge is inverse-invariant."""
+    rad = group_mul(group_inv(q), p).radial()
+    return float(green_H_pole((rad.r_h, rad.t), n))
+
+
 def test_green_two_point_invariance(rng):
     n = 2
     for _ in range(20):
@@ -57,8 +65,6 @@ def test_green_two_point_invariance(rng):
         p = HPoint(z=z1, t=rng.standard_normal())
         q = HPoint(z=z2, t=rng.standard_normal())
         gg = HPoint(z=g, t=rng.standard_normal())
-        from heisenpaths.geometry import group_mul
-
         a = green_H_two(p, q, n)
         b = green_H_two(group_mul(gg, p), group_mul(gg, q), n)
         assert b == pytest.approx(a, rel=1e-9)
@@ -232,6 +238,23 @@ def test_tdist_small():
 
 # ---------------------------------------------------------------------------
 # martingale property of the generators
+
+
+def martingale_residual(f, ens, side: str, n: int, compensate: bool = True) -> MCEstimate:
+    """Mean terminal value of ``f(X_T) - f(X_0) - (1/2) int L f(X_s) ds``
+    along a densely recorded ensemble (trapezoid in time); zero in law for
+    the matching generator.  With ``compensate=False`` the integral term is
+    dropped, which turns the residual into a drift meter.
+    """
+    coord, op = {"sphere": ("th", apply_LS), "heis": ("t", apply_LH)}[side]
+    u, v = ens.states["r"], ens.states[coord]
+    vals = f.eval(u, v)
+    res = vals[-1] - vals[0]
+    if compensate:
+        lf = 0.5 * op(f, (u, v), n)
+        dt = np.diff(ens.times)[:, None]
+        res = res - np.sum(0.5 * dt * (lf[:-1] + lf[1:]), axis=0)
+    return _mean_se(res)
 
 
 def test_martingale_residual_sphere():

@@ -111,6 +111,25 @@ def test_start_outside_the_map_domain_fails_before_simulating(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target, chart", [("cayley", "cayley1_chart"), ("kelvin", "kelvin_radial")])
+def test_start_mapped_into_route_b_absorption_fails_before_route_a(tmp_path, capsys, monkeypatch, target, chart):
+    # a far start maps next to route B's absorbing point: route B rejects it
+    # before route A steps a single path, and the message names the start,
+    # the map and the mapped point
+    from heisenpaths import analysis
+
+    def no_route_a(*args, **kwargs):
+        raise AssertionError("route A was simulated")
+
+    monkeypatch.setattr(analysis, "sim_radial_h", no_route_a)
+    out = tmp_path / target
+    assert main(["experiment", target, "x0_r=1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{chart} maps the start point (1000.0, 0.0) to (0.00" in err
+    assert "inside the absorption region" in err
+    assert not out.exists()
+
+
 def test_experiment_horizon_is_not_checked_against_step(tmp_path):
     # each experiment run sets its own horizon, so a step that does not
     # divide the old default horizon of 1 is no config error

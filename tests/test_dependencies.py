@@ -3,6 +3,7 @@ package, and the law experiments, whose KS p-values and critical values are
 computed in-repo, load no scipy module."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -31,6 +32,21 @@ def third_party_imports() -> dict[str, list[str]]:
 
 def test_only_third_party_import_is_numpy():
     assert set(third_party_imports()) == {"numpy"}
+
+
+def test_exports_resolve_and_src_imports_no_tests():
+    # every name a module lists in __all__, or the package __init__ imports,
+    # is defined, and nothing under src/ imports from the test tree
+    for path in sorted((SRC / "heisenpaths").glob("*.py")):
+        module = importlib.import_module("heisenpaths" + ("" if path.stem == "__init__" else f".{path.stem}"))
+        names = list(getattr(module, "__all__", []))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                mods = [node.module or ""] if isinstance(node, ast.ImportFrom) else [a.name for a in node.names]
+                assert not {m.partition(".")[0] for m in mods} & {"tests", "conftest"}, path.name
+                if path.stem == "__init__" and isinstance(node, ast.ImportFrom):
+                    names += [alias.name for alias in node.names]
+        assert [name for name in names if not hasattr(module, name)] == [], path.name
 
 
 def test_law_experiments_load_no_scipy(tmp_path):

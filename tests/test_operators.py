@@ -13,13 +13,12 @@ from heisenpaths.operators import (
     drift_Nproc,
     drift_hproc,
     exp_jet,
-    gamma_H,
-    gamma_S,
     gauge_jet,
     h_fun_jet,
     harmonic_gap_heis,
     harmonic_gap_sphere,
     heis_basket,
+    heis_carre,
     log_jet,
     power_jet,
     residual_conj_cayley,
@@ -27,6 +26,7 @@ from heisenpaths.operators import (
     residual_doob_forms_gap,
     residual_kelvin,
     sphere_basket,
+    sphere_carre,
 )
 
 sphere_pts = st.tuples(st.floats(0.1, 1.4), st.floats(0.2, 2 * np.pi - 0.2))
@@ -98,6 +98,16 @@ def test_generator_axis_limit():
     near = apply_LS(s2, (1e-13, 0.3), 2)
     exact = 2 * 2 * s2.jet(0.0, 0.3).fuu
     assert near == pytest.approx(exact, rel=1e-6)
+
+
+def gamma_S(f, g, q):
+    """Carre du champ of two test functions at sphere points ``q = (rs, th)``."""
+    return sphere_carre(f.jet(*q), g.jet(*q), q[0])
+
+
+def gamma_H(f, g, p):
+    """Carre du champ of two test functions at group points ``p = (r, t)``."""
+    return heis_carre(f.jet(*p), g.jet(*p), p[0])
 
 
 @given(sphere_pts, ns)

@@ -1,20 +1,170 @@
-"""Additive clocks along paths and their path-by-path inversion."""
+"""Additive clocks along paths and their path-by-path inversion.
+
+The dense clocks here are the offline oracle for the streaming crossing
+records of :mod:`heisenpaths.sde`, which interpolate within one fine step.
+A clock is the trapezoid running integral of a factor from
+:data:`heisenpaths.sde.CLOCKS` along the record grid; inverting it at a
+level ``u`` gives the first time ``sigma_u`` the clock reaches ``u``, and
+resampling reads the path there.  On a shared grid the two accumulations
+agree to machine precision, not bitwise: the dense clock takes each ``dt``
+from differencing the record times, which can differ from the simulator's
+step by an ulp.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from heisenpaths.geometry import H_fun, koranyi_N
-from heisenpaths.sde import PathEnsemble, sim_radial_h
-from heisenpaths.timechange import (
-    Clock,
-    accumulate_clock,
-    clock_cayley,
-    clock_kelvin,
-    invert_clock,
-    resample,
-)
+from heisenpaths.geometry import TWO_PI, H_fun, koranyi_N
+from heisenpaths.numdiff import unwrap_angle
+from heisenpaths.sde import CLOCKS, PathEnsemble, sim_radial_h
 
 from conftest import small_cfg
+
+
+# ---------------------------------------------------------------------------
+# the offline oracle
+
+
+@dataclass(frozen=True)
+class Clock:
+    """Running clock values on a record grid.
+
+    ``values`` has the record times along axis 0 (a single path is a 1-D
+    array, an ensemble is ``times x paths``), starts at 0 and is
+    nondecreasing along axis 0.
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        times = np.asarray(self.times, dtype=float)
+        values = np.asarray(self.values, dtype=float)
+        if times.ndim != 1 or times.size < 2:
+            raise ValueError("a clock needs at least two record times")
+        if values.shape[0] != times.size:
+            raise ValueError("values and times disagree on the grid length")
+        if np.any(values[0] != 0.0):
+            raise ValueError("clock must start at 0")
+        if np.any(np.diff(values, axis=0) < 0):
+            raise ValueError("clock must be nondecreasing")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def terminal(self) -> np.ndarray:
+        return self.values[-1]
+
+
+def accumulate_clock(times, factor_values) -> np.ndarray:
+    """Trapezoid running integral of ``factor_values`` (axis 0 = times)."""
+    times = np.asarray(times, dtype=float)
+    fac = np.asarray(factor_values, dtype=float)
+    dt = np.diff(times).reshape((-1,) + (1,) * (fac.ndim - 1))
+    out = np.zeros_like(fac)
+    np.cumsum(0.5 * dt * (fac[:-1] + fac[1:]), axis=0, out=out[1:])
+    return out
+
+
+def clock_cayley(ens: PathEnsemble) -> Clock:
+    """Chart clock along a Heisenberg radial ensemble: running integral of
+    the Heisenberg-side conformal factor, evaluated on the record grid."""
+    fac = CLOCKS["cayley"](ens.states["r"], ens.states["t"])
+    return Clock(ens.times, accumulate_clock(ens.times, fac))
+
+
+def clock_kelvin(ens: PathEnsemble, orientation: str = "image") -> Clock:
+    """Gauge-inversion clock along a Heisenberg radial ensemble.
+
+    ``orientation="image"`` integrates ``1/N`` (the factor expressed through
+    the state of the mapped path, which is the correct time change);
+    ``"preimage"`` integrates ``N`` itself and is kept only as a negative
+    control for the law comparison.
+    """
+    if orientation not in ("image", "preimage"):
+        raise ValueError(f"unknown orientation {orientation!r}")
+    fac = CLOCKS[f"kelvin_{orientation}"](ens.states["r"], ens.states["t"])
+    return Clock(ens.times, accumulate_clock(ens.times, fac))
+
+
+def _locate(values: np.ndarray, u: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # segment index and interpolation weight of the first crossing of u
+    m = values.shape[0]
+    cnt = np.sum(values < u, axis=0)
+    hit = (u <= values[-1]) & (cnt >= 1)
+    idx = np.clip(cnt, 1, m - 1)
+    left = np.take_along_axis(values, (idx - 1)[None], axis=0)[0]
+    right = np.take_along_axis(values, idx[None], axis=0)[0]
+    den = right - left
+    lam = np.where(den > 0, (u - left) / np.where(den > 0, den, 1.0), 1.0)
+    return idx, np.clip(lam, 0.0, 1.0), hit
+
+
+def invert_clock(clock: Clock, u: float):
+    """First time the clock reaches level ``u > 0``, linearly interpolated.
+
+    On a single-path clock returns a float and raises when ``u`` exceeds the
+    terminal value (no extrapolation); on an ensemble returns ``(sigma,
+    hit)`` with ``sigma`` NaN where the level was never reached.
+    """
+    u = float(u)
+    if u <= 0:
+        raise ValueError("clock level must be positive")
+    values = clock.values
+    single = values.ndim == 1
+    v = values[:, None] if single else values
+    idx, lam, hit = _locate(v, u)
+    tl = clock.times[idx - 1]
+    tr = clock.times[idx]
+    sigma = np.where(hit, (1.0 - lam) * tl + lam * tr, np.nan)
+    if single:
+        if not bool(hit[0]):
+            raise ValueError(f"clock terminates at {values[-1]:.6g} before reaching {u:.6g}")
+        return float(sigma[0])
+    return sigma, hit
+
+
+def resample(ens: PathEnsemble, clock: Clock, grid, circular=("th",)) -> dict[str, np.ndarray]:
+    """States of ``ens`` at the clock inverse of each level in ``grid``.
+
+    Interpolation is linear within one record segment, with angle-valued
+    coordinates (named in ``circular``) unwrapped about the left endpoint;
+    a level sitting exactly on a record value reproduces that record state
+    bitwise.  Returns the resampled states plus ``sigma`` and ``hit``
+    arrays, with NaN states where a path's clock never reached the level.
+    """
+    grid = [float(u) for u in np.atleast_1d(grid)]
+    if any(u <= 0 for u in grid):
+        raise ValueError("clock levels must be positive")
+    values = clock.values
+    if values.shape != next(iter(ens.states.values())).shape:
+        raise ValueError("clock and ensemble do not share a record grid")
+    m = len(grid)
+    shape = (m,) + values.shape[1:]
+    out: dict[str, np.ndarray] = {
+        name: np.empty(shape) for name in ens.states
+    }
+    out["sigma"] = np.empty(shape)
+    out["hit"] = np.empty(shape, dtype=bool)
+    for j, u in enumerate(grid):
+        idx, lam, hit = _locate(values, u)
+        tl, tr = clock.times[idx - 1], clock.times[idx]
+        out["sigma"][j] = np.where(hit, (1.0 - lam) * tl + lam * tr, np.nan)
+        out["hit"][j] = hit
+        for name, arr in ens.states.items():
+            left = np.take_along_axis(arr, (idx - 1)[None], axis=0)[0]
+            right = np.take_along_axis(arr, idx[None], axis=0)[0]
+            if name in circular:
+                right = unwrap_angle(right, left)
+                val = np.mod((1.0 - lam) * left + lam * right, TWO_PI)
+                exact = np.take_along_axis(arr, idx[None], axis=0)[0]
+                val = np.where(lam == 1.0, exact, val)
+            else:
+                val = (1.0 - lam) * left + lam * right
+            out[name][j] = np.where(hit, val, np.nan)
+    return out
 
 
 def make_ens(times, **states):
