@@ -35,6 +35,7 @@ import os
 import sys
 import time
 from dataclasses import fields, replace
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -243,23 +244,65 @@ def _csv_field(name: str, col: np.ndarray) -> str:
     return _CSV_FIELDS[kind]
 
 
+class Coded(NamedTuple):
+    """A CSV column of ``rows`` rows given as its distinct ``values`` (a 1-D
+    array or sequence) and ``codes``, which maps an array of row numbers to
+    those rows' indices into ``values``."""
+
+    values: Sequence
+    rows: int
+    codes: Callable[[np.ndarray], np.ndarray]
+
+
+def _as_column(c):
+    return c if isinstance(c, (np.ndarray, Coded)) else np.asarray(c, dtype=object)
+
+
 def _csv_chunks(header: list[str], columns) -> list[str]:
-    """CSV text: the header line, then the rows of ``columns`` (one 1-D array
-    or sequence per header name) in chunks of ``CSV_CHUNK_ROWS`` rows.
+    """CSV text: the header line, then the rows of ``columns`` (one 1-D array,
+    sequence or :class:`Coded` column per header name) in chunks of
+    ``CSV_CHUNK_ROWS`` rows.
 
     One row template serves every row, with a field per column: ``%d`` for
     integers, ``%.17g`` for floats and ``%s`` for strings, so each value
     prints as ``_fmt`` prints it.  A column that mixes these kinds, or holds
-    anything else (booleans included), is an error."""
+    anything else (booleans included), is an error.  A coded column formats
+    each of its values once with that field, and each chunk looks its rows'
+    texts up by code through a ``%s`` field."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} CSV header names for {len(columns)} columns")
-    cols = [c if isinstance(c, np.ndarray) else np.asarray(c, dtype=object) for c in columns]
-    if any(c.ndim != 1 for c in cols) or len({len(c) for c in cols}) > 1:
+    cols = [_as_column(c) for c in columns]
+    plain = [c for c in cols if not isinstance(c, Coded)]
+    lengths = {c.rows if isinstance(c, Coded) else len(c) for c in cols}
+    if any(c.ndim != 1 for c in plain) or len(lengths) > 1:
         raise ValueError("CSV columns must be 1-D and of one length")
-    template = ",".join(_csv_field(name, c) for name, c in zip(header, cols)) + "\n"
+    fields, texts = [], {}
+    for j, (name, c) in enumerate(zip(header, cols)):
+        if isinstance(c, Coded):
+            values = _as_column(c.values)
+            if values.ndim != 1:
+                raise ValueError(f"CSV column {name!r} has values that are not 1-D")
+            field = _csv_field(name, values)
+            texts[j] = np.array([field % v for v in values.tolist()], dtype=object)
+            fields.append("%s")
+        else:
+            fields.append(_csv_field(name, c))
+    template = ",".join(fields) + "\n"
     out = [",".join(header) + "\n"]
-    for lo in range(0, len(cols[0]) if cols else 0, CSV_CHUNK_ROWS):
-        part = [c[lo:lo + CSV_CHUNK_ROWS].tolist() for c in cols]
+    for lo in range(0, lengths.pop() if cols else 0, CSV_CHUNK_ROWS):
+        hi = lo + CSV_CHUNK_ROWS
+        part = []
+        for j, c in enumerate(cols):
+            if j not in texts:
+                part.append(c[lo:hi].tolist())
+                continue
+            rows = np.arange(lo, min(hi, c.rows))
+            codes = np.asarray(c.codes(rows))
+            if codes.dtype.kind not in "iu" or codes.shape != rows.shape:
+                raise TypeError(f"CSV column {header[j]!r} needs one integer code per row")
+            if len(codes) and (codes.min() < 0 or codes.max() >= len(texts[j])):
+                raise IndexError(f"CSV column {header[j]!r} has a code out of range")
+            part.append(texts[j][codes].tolist())
         out.append("".join(map(template.__mod__, zip(*part))))
     return out
 
@@ -353,12 +396,13 @@ def _drive_verify(target: str, cfg: dict) -> tuple[list[CheckRecord], dict, dict
 def _sample_columns(rep: dict, coord: str) -> list[np.ndarray]:
     """Columns ``u, route, r, <coord>, gauge`` of a pushforward report: for
     each level in ``u_grid``, its route A samples, then its route B ones."""
-    parts = [(u, route, rep[u]["samples"][route]) for u in rep["u_grid"] for route in ("A", "B")]
-    sizes = [len(sam["r"]) for _, _, sam in parts]
+    parts = [rep[u]["samples"][route] for u in rep["u_grid"] for route in ("A", "B")]
+    ends = np.cumsum([len(sam["r"]) for sam in parts])
+    rows = int(ends[-1])
     return [
-        np.repeat([u for u, _, _ in parts], sizes),
-        np.repeat([route for _, route, _ in parts], sizes),
-        *(np.concatenate([sam[name] for _, _, sam in parts]) for name in ("r", coord, "gauge")),
+        Coded(rep["u_grid"], rows, lambda i: np.searchsorted(ends, i, side="right") // 2),
+        Coded(("A", "B"), rows, lambda i: np.searchsorted(ends, i, side="right") % 2),
+        *(np.concatenate([sam[name] for sam in parts]) for name in ("r", coord, "gauge")),
     ]
 
 
@@ -492,16 +536,19 @@ def _drive_simulate(target: str, cfg: dict) -> tuple[list[CheckRecord], dict, di
         # the radial simulators hold ("r", "t") or ("r", "th"), in column order
         header = [{"th": "theta"}.get(name, name) for name in ens.states]
         columns = [state.T.ravel() for state in ens.states.values()]
-        if ens.alive is not None:
-            header += ["absorbed", "absorption_time"]
-            columns += [
-                (~ens.alive).T.ravel().astype(np.int8),
-                np.repeat(ens.death_time, len(ens.times)),
-            ]
-    # one row per (path, record time), path-major
+    # one row per (path, record time), path-major: row i is path i // m at
+    # record time i % m
+    m = len(ens.times)
+    rows = ens.paths * m
+    if ens.alive is not None:
+        dead = ~ens.alive
+        header += ["absorbed", "absorption_time"]
+        columns += [
+            Coded((0, 1), rows, lambda i: dead[i % m, i // m].astype(np.intp)),
+            Coded(ens.death_time, rows, lambda i: i // m),
+        ]
     header = ["path", "time"] + header
-    paths, times = np.arange(ens.paths), ens.times
-    columns = [np.repeat(paths, len(times)), np.tile(times, ens.paths)] + columns
+    columns = [Coded(np.arange(ens.paths), rows, lambda i: i // m), Coded(ens.times, rows, lambda i: i % m)] + columns
     extra = {
         "result.paths": ens.paths,
         "result.record_times": len(ens.times),

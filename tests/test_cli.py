@@ -14,6 +14,7 @@ from heisenpaths.cli import (
     COMMANDS,
     CSV_CHUNK_ROWS,
     CSV_NAMES,
+    Coded,
     ConfigError,
     _csv_chunks,
     _fmt,
@@ -442,6 +443,54 @@ def test_csv_chunks_match_fmt_per_value(rows):
         pytest.fail(f"line {line}: {g!r} != {w!r}")
 
 
+def expand(column: Coded) -> list:
+    """The rows of a coded column, one value each."""
+    values = list(column.values)
+    return [values[c] for c in column.codes(np.arange(column.rows))]
+
+
+@pytest.mark.parametrize(
+    "rows", [0, 1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 2 * CSV_CHUNK_ROWS + 3]
+)
+def test_coded_columns_match_fmt_per_value(rows):
+    # every value list ends in one that no row uses; runs of 3, 5 and 7
+    # equal codes straddle each chunk boundary
+    floats = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, 0.1, 2.5])
+    columns = [
+        Coded(np.arange(rows // 11 + 2), rows, lambda i: i // 11),       # path ids
+        Coded(floats, rows, lambda i: (i // 5) % 7),                     # float64 edges
+        Coded([0.0, -0.0, 1e300], rows, lambda i: (i % 2).astype(np.uint8)),  # Python float
+        Coded([2**62 - k for k in range(4)], rows, lambda i: (i // 7) % 3),   # Python int
+        Coded((0, 1, 2), rows, lambda i: i % 2),                         # small ints
+        Coded(np.array(["A", "B", "C"]), rows, lambda i: (i // 3) % 2),  # numpy str
+        Coded(("sphere", "heis", "none"), rows, lambda i: i % 2),        # Python str
+        np.arange(rows) * 0.5,                                           # a plain column beside them
+    ]
+    header = [f"c{j}" for j in range(len(columns))]
+    want = reference_csv(header, [expand(c) if isinstance(c, Coded) else c for c in columns])
+    assert "".join(_csv_chunks(header, columns)) == want
+    if rows:
+        assert "-0,0," in want and "0,-0," in want  # -0.0 and 0.0 print apart
+
+
+@pytest.mark.parametrize("code", [-1, 3])
+def test_coded_column_code_out_of_range_raises(code):
+    column = Coded((1.0, 2.0, 3.0), CSV_CHUNK_ROWS + 1, lambda i: np.where(i == CSV_CHUNK_ROWS, code, 0))
+    with pytest.raises(IndexError):
+        _csv_chunks(["x"], [column])
+
+
+def test_coded_column_needs_one_integer_code_per_row():
+    for codes in (lambda i: i % 2 == 0, lambda i: (i % 2).astype(float), lambda i: i[1:] % 2):
+        with pytest.raises(TypeError):
+            _csv_chunks(["x"], [Coded((1.0, 2.0), 5, codes)])
+
+
+def test_coded_column_length_counts_for_raggedness():
+    with pytest.raises(ValueError):
+        _csv_chunks(["a", "b"], [Coded((1.0,), 3, lambda i: i * 0), np.zeros(4)])
+
+
 @pytest.mark.parametrize(
     "column",
     [[1, 2.5], ["a", 1.0], np.array([1, "a"], dtype=object), [True, 1], np.array([True, False])],
@@ -449,6 +498,8 @@ def test_csv_chunks_match_fmt_per_value(rows):
 def test_csv_chunks_reject_mixed_or_boolean_columns(column):
     with pytest.raises(TypeError):
         _csv_chunks(["x"], [column])
+    with pytest.raises(TypeError):
+        _csv_chunks(["x"], [Coded(column, 1, lambda i: i * 0)])
 
 
 def test_csv_chunks_reject_ragged_columns():
