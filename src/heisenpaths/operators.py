@@ -93,10 +93,10 @@ class TestFunction:
 # exact jets of the conformal factor and the gauge, and jet algebra
 
 
-def _h_first_order(c, s, ct, st):
+def _h_first_order(c, s, ct, st, h=None):
     """``h_fun`` and its two first partials from the cosines and sines of
-    ``rs`` and ``th``."""
-    return h_fun_cos(c, ct), -2.0 * s * (ct + c), -2.0 * c * st
+    ``rs`` and ``th``; ``h`` is ``h_fun`` there, if already known."""
+    return h_fun_cos(c, ct) if h is None else h, -2.0 * s * (ct + c), -2.0 * c * st
 
 
 def h_fun_jet(rs, th) -> Jet2:
@@ -267,16 +267,17 @@ def drift_hproc(q, n: int):
     return drift_hproc_trig(c, s, ct, st, ta, n)
 
 
-def drift_hproc_trig(c, s, ct, st, ta, n: int):
+def drift_hproc_trig(c, s, ct, st, ta, n: int, h=None, ta2=None):
     """:func:`drift_hproc` from ``c, s, ta = cos, sin, tan(rs)`` and
-    ``ct, st = cos, sin(th)``.
+    ``ct, st = cos, sin(th)``; ``h = h_fun_cos(c, ct)`` and ``ta2 = ta*ta``
+    are computed here unless given.
 
     The simulator calls this with the trigonometry of each step computed
     once, so :func:`drift_hproc` and the simulator run the same arithmetic.
     """
-    f, fu, fv = _h_first_order(c, s, ct, st)
+    f, fu, fv = _h_first_order(c, s, ct, st, h)
     br = 0.5 * sphere_radial_drift_tan(ta, n) - 0.5 * n * fu / f
-    bth = -0.5 * n * ta**2 * fv / f
+    bth = -0.5 * n * (ta**2 if ta2 is None else ta2) * fv / f
     return br, bth
 
 

@@ -43,7 +43,8 @@ supplies three functions on a state dict of per-path arrays:
 
 Each step runs in one order: draw, accumulate averages at the left point,
 ``step``, freeze the absorbed paths (``np.copyto`` of their old recorded
-coordinates), ``absorb`` on the frozen state, clock and crossings, record.
+coordinates, skipped while none is), ``absorb`` on the frozen state, clock
+and crossings, record.
 Absorbed paths thus freeze at the triggering state.  Every ensemble is
 built from fixed-width path blocks with per-block Philox streams
 (:mod:`heisenpaths.rng`), so outputs are bitwise identical for any worker
@@ -66,10 +67,11 @@ needs is computed.  ``tan`` of the guarded radius serves the radial drift,
 the angular drift and the angular diffusion.  :func:`sim_hproc` takes its
 trigonometry from one SIMD tangent per angle
 (:func:`~heisenpaths.geometry.trig_via_tan`, within 3 ulp of ``np.cos`` and
-``np.sin``).  ``tan(r)`` gives ``cos(r)`` and ``sin(r)``, and ``tan(th)``
-gives ``cos(th)`` and ``sin(th)``.  Taken at the new state, they serve the
-absorption test and then the next step's drift, and are evaluated afresh
-only on the columns where the guard clip moved ``r``.  The drift comes from
+``np.sin``).  ``tan(r)`` gives ``cos(r)``, ``sin(r)`` and ``tan(r)^2``, and
+``tan(th)`` gives ``cos(th)`` and ``sin(th)``.  Taken at the new state, they
+and the conformal factor ``h`` serve the absorption test and then the next
+step's drift, and are evaluated afresh only on the columns where the guard
+clip moved ``r``.  The drift comes from
 :func:`~heisenpaths.operators.drift_hproc_trig`, the same formula behind
 :func:`~heisenpaths.operators.drift_hproc`, which takes its trigonometry the
 same way, with every expression in the same operation order, so the fused
@@ -276,22 +278,33 @@ def _wrap_angle(x: np.ndarray) -> np.ndarray:
     return np.mod(x, TWO_PI, out=x, where=~((x > 0.0) & (x < TWO_PI)))
 
 
-def _hproc_drift(r, trig_r, trig_th, lo: float, hi: float, n: int):
+def _hproc_trig(s: dict) -> dict:
+    """Store in the :func:`sim_hproc` state ``s`` what its absorption test
+    and the next step's drift read: ``trig_r = (cos, sin, tan, tan^2)(r)``,
+    ``trig_th = (cos, sin)(th)`` and ``h``, the conformal factor there."""
+    s["trig_r"] = trig_via_tan(s["r"], with_square=True)
+    s["trig_th"] = trig_via_tan(s["th"], angle=True)[:2]
+    s["h"] = h_fun_cos(s["trig_r"][0], s["trig_th"][0])
+    return s
+
+
+def _hproc_drift(s: dict, lo: float, hi: float, n: int):
     """Drift of :func:`sim_hproc` at the guarded state ``(clip(r, lo, hi), th)``.
 
-    ``trig_r = (cos, sin, tan)(r)`` and ``trig_th = (cos, sin)(th)`` are kept
-    from the absorption test of the previous step; they are evaluated
-    afresh only where the clip moved ``r``.  Returns ``tan`` of the guarded
-    radius and the drift, equal bit for bit to
+    The trigonometry and ``h`` that :func:`_hproc_trig` stored in the state
+    ``s`` are evaluated afresh only where the clip moved ``r``.  Returns
+    ``tan`` of the guarded radius and the drift, equal bit for bit to
     :func:`~heisenpaths.operators.drift_hproc` at the guarded state.
     """
-    cr, sr, ta = trig_r
+    r, (ct, st), h = s["r"], s["trig_th"], s["h"]
+    cr, sr, ta, ta2 = s["trig_r"]
     re = np.minimum(np.maximum(r, lo), hi)
     moved = re != r
     if moved.any():
-        cr, sr, ta = cr.copy(), sr.copy(), ta.copy()
-        cr[moved], sr[moved], ta[moved] = trig_via_tan(re[moved])
-    br, bth = drift_hproc_trig(cr, sr, *trig_th, ta, n)
+        cr, sr, ta, ta2, h = cr.copy(), sr.copy(), ta.copy(), ta2.copy(), h.copy()
+        cr[moved], sr[moved], ta[moved], ta2[moved] = trig_via_tan(re[moved], with_square=True)
+        h[moved] = h_fun_cos(cr[moved], ct[moved])
+    br, bth = drift_hproc_trig(cr, sr, ct, st, ta, n, h=h, ta2=ta2)
     return ta, br, bth
 
 
@@ -374,9 +387,10 @@ def _simulate(
                 acc[name] += f(*(s[c] for c in coords)) * dt
             new = step(s, dw)
             if absorb:
-                dead = ~alive
-                for c in coords:
-                    np.copyto(new[c], s[c], where=dead)
+                if not alive.all():
+                    dead = ~alive
+                    for c in coords:
+                        np.copyto(new[c], s[c], where=dead)
                 died = alive & absorb(new)
                 out["death_time"][died] = (k + 1) * dt
                 alive &= ~died
@@ -577,28 +591,20 @@ def sim_hproc(
     if h_fun(r0, th0) <= floor:
         raise ValueError("x0 starts inside the absorption region")
 
-    def trig(s):
-        # cosines, sines and tan(r) of a state, from one tangent per angle
-        s["trig_r"] = trig_via_tan(s["r"])
-        s["trig_th"] = trig_via_tan(s["th"], angle=True)[:2]
-        return s
-
     def start(width):
-        return trig({"r": np.full(width, r0), "th": np.full(width, th0 % TWO_PI)})
+        return _hproc_trig({"r": np.full(width, r0), "th": np.full(width, th0 % TWO_PI)})
 
     def step(s, dw):
-        r, th = s["r"], s["th"]
-        ta, br, bth = _hproc_drift(r, s["trig_r"], s["trig_th"], guard, upper, n)
+        ta, br, bth = _hproc_drift(s, guard, upper, n)
         return {
-            "r": np.minimum(np.abs(r + _clip(br * dt, cap) + sq * dw[0]), hi),
-            "th": _wrap_angle(th + _clip(bth * dt, cap) + ta * sq * dw[1]),
+            "r": np.minimum(np.abs(s["r"] + _clip(br * dt, cap) + sq * dw[0]), hi),
+            "th": _wrap_angle(s["th"] + _clip(bth * dt, cap) + ta * sq * dw[1]),
         }
 
     def absorb(s):
-        # the trigonometry of the new state serves the absorption test now
-        # and the drift of the next step
-        trig(s)
-        return h_fun_cos(s["trig_r"][0], s["trig_th"][0]) < floor
+        # the trigonometry and h of the new state serve the absorption test
+        # now and the drift of the next step
+        return _hproc_trig(s)["h"] < floor
 
     return _simulate(cfg, purpose, record_times, ("r", "th"), start, step, absorb)
 
