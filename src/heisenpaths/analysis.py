@@ -22,7 +22,7 @@ a smoothstep that vanishes where the conditioning factor is below 0.1 and is
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import exp, isnan, log, nan, pi, sqrt
+from math import exp, isfinite, isnan, log, nan, pi, sqrt
 from math import gamma as gamma_fn
 from typing import Sequence
 
@@ -458,8 +458,14 @@ def _pushforward(x0, u_grid, cfg, horizon_a, clock: str, sim_b, chart, gauge, co
     start is mapped first and route B runs before route A, so a start
     outside the domain of ``chart``, or one that maps into route B's
     absorption region, fails before route A steps a path.  The two routes
-    draw from their own streams, so their order changes no output."""
+    draw from their own streams, so their order changes no output.  Route
+    B records at the levels and runs to the highest, so each level must be
+    a positive whole number of steps."""
     u_grid = sorted(float(u) for u in u_grid)
+    for u in u_grid:
+        k = round(u / cfg.step) if isfinite(u) else 0
+        if k < 1 or abs(k * cfg.step - u) > 1e-9 * max(1.0, u):
+            raise ValueError(f"u_grid level {u!r} is not a positive whole number of steps of step={cfg.step!r}")
     with np.errstate(all="ignore"):
         y0 = tuple(float(v) for v in chart(*x0))
     if not np.all(np.isfinite(y0)):

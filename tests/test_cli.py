@@ -131,6 +131,25 @@ def test_start_mapped_into_route_b_absorption_fails_before_route_a(tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["cayley", "kelvin"])
+@pytest.mark.parametrize("grid", ["0.3001", "0.1,0.3001", "-0.1"])
+def test_level_off_the_step_grid_names_u_grid_and_step(tmp_path, capsys, monkeypatch, target, grid):
+    # route B records at each level, so a level must sit on the step grid;
+    # the message names the keys the experiment takes, not its runs' horizon
+    from heisenpaths import analysis
+
+    def no_route(*args, **kwargs):
+        raise AssertionError("a route was simulated")
+
+    for name in ("sim_radial_h", "sim_hproc", "sim_Nproc"):
+        monkeypatch.setattr(analysis, name, no_route)
+    out = tmp_path / target
+    assert main(["experiment", target, f"u_grid={grid}", "paths=100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "u_grid level" in err and "step=0.001" in err and "horizon" not in err
+    assert not out.exists()
+
+
 def test_experiment_horizon_is_not_checked_against_step(tmp_path):
     # each experiment run sets its own horizon, so a step that does not
     # divide the old default horizon of 1 is no config error
