@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Print the check values of CLI commands over a range of seeds as one
 tab-separated table: a row per ``test.<name>.value`` manifest key, a column
-per seed.  A value whose check failed is marked with a trailing ``*``.
+per seed, and a trailing ``passed`` column that counts the seeds whose check
+passed (``k/N``).  A value whose check failed is marked with a trailing
+``*``.
 
 Each run is a fresh ``python -m heisenpaths.cli`` process on the ``src``
 tree of the checkout this script lives in, writing to a temporary
@@ -58,7 +60,7 @@ def main() -> int:
     ns = ap.parse_args()
     seeds = parse_seeds(ns.seeds)
 
-    print("\t".join(["check"] + [f"seed{s}" for s in seeds]))
+    print("\t".join(["check"] + [f"seed{s}" for s in seeds] + ["passed"]))
     with tempfile.TemporaryDirectory() as tmp:
         for command in ns.commands:
             words = command.split()
@@ -66,8 +68,10 @@ def main() -> int:
             keys = sorted(k for k in manifests[0] if k.startswith("test.") and k.endswith(".value"))
             for key in keys:
                 passed = key[: -len(".value")] + ".pass"
-                cells = [m[key] + ("" if m[passed] == "true" else "*") for m in manifests]
-                print("\t".join([f"{words[0]} {words[1]}: {key}"] + cells), flush=True)
+                ok = [m[passed] == "true" for m in manifests]
+                cells = [m[key] + ("" if p else "*") for m, p in zip(manifests, ok)]
+                rate = f"{sum(ok)}/{len(ok)}"
+                print("\t".join([f"{words[0]} {words[1]}: {key}"] + cells + [rate]), flush=True)
     return 0
 
 

@@ -1,5 +1,6 @@
 """Every script under ``scripts/`` imports what it names from the package:
-``--help`` runs each one in a fresh process and exits 0."""
+``--help`` runs each one in a fresh process and exits 0.  ``gate_table.py``
+also runs a command over seeds."""
 
 import os
 import subprocess
@@ -18,3 +19,14 @@ def test_script_help_exits_zero(script):
     proc = subprocess.run([sys.executable, str(script), "--help"], capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert "usage:" in proc.stdout
+
+
+def test_gate_table_counts_passing_seeds():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, str(ROOT / "scripts" / "gate_table.py"), "--seeds", "1-2", "verify geometry"]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = [line.split("\t") for line in proc.stdout.splitlines()]
+    assert header == ["check", "seed1", "seed2", "passed"]
+    assert rows and all(row[0].startswith("verify geometry: test.") for row in rows)
+    assert all(len(row) == 4 and row[-1] == "2/2" for row in rows)
