@@ -64,4 +64,4 @@ from .sde import (
 )
 from .verify import CheckRecord, verify_geometry, verify_operators
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -259,15 +259,17 @@ def cayley1_full(p: HPoint) -> SAmbient:
 def cayley1_chart(r, t):
     """Radial chart map ``(r_h, t) -> (r_s, theta)``.
 
-    ``r_s = arcsin(2 r / sqrt((1+r^2)^2 + 4 t^2))`` and
+    ``r_s = atan2(2 r, hypot(1 - r^2, 2 t))``, which is
+    ``arcsin(2 r / sqrt((1+r^2)^2 + 4 t^2))`` as
+    ``(1+r^2)^2 + 4 t^2 - 4 r^2 = (1-r^2)^2 + 4 t^2``, but keeps its digits
+    where ``r_s`` nears pi/2 and the arcsin does not; and
     ``theta = atan2(4t, 1 - N(r,t))`` reduced to ``[0, 2*pi)``; the atan2
     form fixes the branch so that theta agrees with the phase of the last
     ambient coordinate of :func:`cayley1_full`.
     """
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
-    den = np.sqrt((1.0 + r**2) ** 2 + 4.0 * t**2)
-    rs = np.arcsin(np.clip(2.0 * r / den, -1.0, 1.0))
+    rs = np.arctan2(2.0 * r, np.hypot(1.0 - r**2, 2.0 * t))
     th = np.mod(np.arctan2(4.0 * t, 1.0 - koranyi_N(r, t)), TWO_PI)
     return rs, th
 
@@ -290,12 +292,14 @@ def cayley1_chart_inv(rs, th):
 def ambient_to_cyl(w) -> tuple[np.ndarray, np.ndarray]:
     """Cylinder coordinates of ambient sphere points (arrays ``(..., n+1)``).
 
-    ``r_s = arccos(|w_last|)``, ``theta = arg(w_last) mod 2*pi``.  At
-    ``r_s = pi/2`` the phase is meaningless (``w_last = 0``).
+    ``r_s = atan2(|w'|, |w_last|)`` with ``w'`` the first ``n`` coordinates,
+    which is ``arccos(|w_last|)`` on the unit sphere but keeps its digits
+    near the axis, where the arccos does not; ``theta = arg(w_last) mod
+    2*pi``.  At ``r_s = pi/2`` the phase is meaningless (``w_last = 0``).
     """
     w = np.asarray(w, dtype=complex)
     wl = w[..., -1]
-    rs = np.arccos(np.clip(np.abs(wl), 0.0, 1.0))
+    rs = np.arctan2(np.linalg.norm(w[..., :-1], axis=-1), np.abs(wl))
     th = np.mod(np.angle(wl), TWO_PI)
     return rs, th
 

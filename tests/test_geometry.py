@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heisenpaths.geometry import (
@@ -12,6 +12,7 @@ from heisenpaths.geometry import (
     SCyl,
     H_fun,
     H_tilde,
+    ambient_to_cyl,
     cayley1_chart,
     cayley1_chart_inv,
     cayley1_full,
@@ -111,6 +112,7 @@ def test_chart_roundtrip_backward(rs, th):
 
 
 @given(hpoints())
+@example(HPoint(z=np.array([0.99999j]), t=0.0))  # r_s near pi/2, where an arcsin form loses digits
 def test_chart_matches_ambient(p):
     zeta = cayley1_full(p)
     rs, th = cayley1_chart(np.linalg.norm(p.z), p.t)
@@ -120,6 +122,14 @@ def test_chart_matches_ambient(p):
     if rs > 1e-6:  # angle of the last coordinate degenerates on the axis
         th_amb = float(np.angle(zeta.zeta[-1])) % (2 * np.pi)
         assert np.cos(th_amb - th) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("r, t", [(1e-8, 0.0), (1e-3, 0.5), (1e5, 0.0), (0.99999, 0.0)])
+def test_ambient_radius_keeps_its_digits_near_the_axis(r, t):
+    # arccos(|w_last|) loses digits where r_s nears 0; the chart itself does not
+    rs_amb, _ = ambient_to_cyl(cayley1_full(HPoint(z=np.array([complex(r)]), t=t)).zeta)
+    rs, _ = cayley1_chart(r, t)
+    assert rs_amb == pytest.approx(rs, rel=1e-12)
 
 
 def test_chart_inv_pole_error():
