@@ -20,7 +20,7 @@ tolerance at its default.  Digests depend
 on numpy's Philox stream and on the platform's floating point; those of
 runs through ``sim_hproc`` (cayley, tdist, semigroup, hproc) also depend on
 whether ``np.tan`` runs on numpy's SIMD lanes.  A numpy upgrade that changes
-them is a contract change too.  They are pinned at ``meta.version`` 0.3.0
+them is a contract change too.  They are pinned at ``meta.version`` 0.4.0
 on an AVX-512 x86-64 machine with numpy 2.4.
 """
 
@@ -34,79 +34,79 @@ from heisenpaths.cli import main
 RUNS = {
     "verify-geometry": (
         ["verify", "geometry"],
-        0, "bc0fb4471db20ac64cd2ee164e3b99bb9fbe9490d17d89433a7ae7c110a2f282",
+        0, "75d5bfd8e080e316a0f36f8e24c61cf7c55364ba17ce574319b3da96c24648b2",
     ),
     "verify-operators": (
         ["verify", "operators"],
-        0, "d06a9a8f29993906ee38b36dea9850568900a683d2acbaacc929aedde0cb0f92",
+        0, "72bdc14f30eb4c69d5f6605cd0d39b8e58fc0fc167b3bee617a7555784e8afc2",
     ),
     "cayley": (
         ["experiment", "cayley", "paths=4196", "step=2e-3", "u_grid=0.1,0.3", "horizon_a=1"],
-        0, "e42436f23744bce39c21baccd91385fc449f581f5a997d79eb1c249e2967eb41",
+        0, "aa8d98432b121268e57b9efd3c09f024bac384c7558e96834efde839b1d93450",
     ),
     "kelvin": (
         ["experiment", "kelvin", "paths=1000", "step=2e-3", "horizon_a=5"],
-        1, "da7d8cd67051ed9ddfb96f529cc0c9443be8fa1d80a754a315a0d599c81cd855",
+        1, "d179fbe774fdb341fe024e65a51554405f1e1898dd01e4297044f619e556873e",
     ),
     "tdist": (
         ["experiment", "tdist", "paths=2000", "step=2e-3", "ts=0,0.25,0.5"],
-        0, "cc0142fb330dc46590c270f4f5211efae1668dcb6f6737dae8fbcbb9b71b120c",
+        0, "ab4d469c17aaea687611d12d2e14647368643c510477cf92906a1b6284ab5403",
     ),
     "tdist-absorbed": (
         ["experiment", "tdist", "paths=64", "step=5e-3", "pole_eps=0.05", "ts=0,1,4,16"],
-        1, "708cb42945d3f5f169f81696d9a4e5247b513c104b3623df7e8835c6116ac5a8",
+        1, "24abb833a6ba0c4b34a5bb3d5f5a9a8089179817dda051d90a184760d0f0547f",
     ),
     "semigroup": (
         ["experiment", "semigroup", "paths=500", "step=5e-3", "t_grid=0.25"],
-        0, "26394aab28d09037eb76f01bdf087a07758bbc0fd367424ea732e65b9945457a",
+        0, "9c9ab9c4905cd3b64e04ecbdf0d5d2afe93c6c6e4f30111e9ec44b6ce54ced76",
     ),
     "radial-h": (
         ["simulate", "radial-h", "paths=10", "horizon=0.05", "step=2e-3", "x0_r=0.3",
          "record=0,0.02,0.05"],
-        0, "188775e806be5d2d916bc9acec5b48b47e1ba497090454cd51fa17706921771b",
+        0, "6290dc786ce09299fe4be38e337f6e7be18f1cc7664234d91e3fa2f6475c1815",
     ),
     "radial-s": (
         ["simulate", "radial-s", "paths=6", "horizon=0.02", "step=2e-3", "x0_r=0.7", "x0_t=1.0"],
-        0, "0834f7ad65ba0dcf0d472fb1e9d20565983b4597cf9e06bb620b299413cb9a5c",
+        0, "d0cf9e4244d6b36a4beaca36c98d839fafaad84c830515ac0564315d4558acd9",
     ),
     "radial-s-equator": (
         ["simulate", "radial-s", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
-        0, "01140de386bf03d0695a35a168b56085388663ff3469ff59c1d365eeff74645b",
+        0, "e3cdeb8f9d94c2c45b4dcb603d1a1f03f90360bea822f61c97b7d7c25f772939",
     ),
     "radial-s-wrap": (
         ["simulate", "radial-s", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=0.7", "x0_t=6.28"],
-        0, "6e79f70569b40fb9614788b179e8a1ee60c004aa52d47c475c8b668329b4544a",
+        0, "44e2775b838886a245546ffdc27f136322c9c2225016aa1d1038c73148dce9c5",
     ),
     "full-h": (
         ["simulate", "full-h", "n=2", "paths=4", "horizon=0.02", "step=2e-3"],
-        0, "9e5c59221be6dd88c60697d1136ee5ad38adfd29ca0d3f75e5836df7189a6217",
+        0, "ee79b7e906a01d6d96c99e6b4d0cb55adab6a30b638b892ad298d2859243bc33",
     ),
     "full-h-chunks": (
         ["simulate", "full-h", "n=2", "paths=1700", "horizon=0.05", "step=5e-3"],
-        0, "b8760e1773f6b10080282ad81810a86a766451bbcca91192754205175063aa81",
+        0, "bbde2ce78345dfa1cc6b556f63f8de41ebbfcf7e4f8da56d73e4d04a0df6bd1e",
     ),
     "hproc": (
         ["simulate", "hproc", "paths=32", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
          "x0_r=0.2", "x0_t=2.5", "record=0,0.5,1"],
-        0, "145adf2020958e67f10d30e0df93b90182f4739f550115b9db18fc4c819eded8",
+        0, "16d931a5cf2128a3087ef387e8faa0888c436e425f2daa50fdbfb38ed6a5ec6c",
     ),
     "hproc-chunks": (
         ["simulate", "hproc", "paths=1700", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
          "x0_r=0.2", "x0_t=2.5"],
-        0, "abf08c2b125419cf95c75f0a71294439b16d506e048e2628ebcd97e34025d1e0",
+        0, "eed97593fdf9c7e6db865ca436ad780aa5ee47b525d2312c040d6a267cc08fe0",
     ),
     "hproc-equator": (
         ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
-        0, "9503c0fd000f7700f5da7ec6937e49e42bc160d6e27d77a0f075447245199472",
+        0, "cb98a844587116bd87ac510d02480c454020a2b1d27cbedaa5e492dd55c27be7",
     ),
     "hproc-wrap": (
         ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=0.7", "x0_t=6.28"],
-        0, "15efbf36bcb02b570348c1dd41023f85e2aa07fbdc9d568758e65817fd536c70",
+        0, "737dfe99913cf7cc56398e6240888212cdd7c36b4d567addf681884af29e3df2",
     ),
     "nproc": (
         ["simulate", "nproc", "paths=32", "horizon=1.0", "step=5e-3", "x0_r=0.3",
          "record=0.25,0.5,1"],
-        0, "64f73c9e30f618be3005754518715e889c7df9643e360d8138065bc105289a4e",
+        0, "fde3ac7b37f18542c5959d9f9ddcef9fc8cb7c8b8ea18a2400116e3560ca875a",
     ),
 }
 
