@@ -189,10 +189,9 @@ def h_fun_cos(c, ct):
     return 1.0 + 2.0 * c * ct + c**2
 
 
-def trig_via_tan(x, angle: bool = False, with_square: bool = False):
-    """``cos, sin, tan`` of ``x`` from one tangent ``t = np.tan(x)``:
-    ``c = 1/sqrt(1 + t^2)`` and ``s = t*c``; ``with_square=True`` appends
-    the ``t^2`` it computed.
+def trig_via_tan(x, angle: bool = False):
+    """``cos, sin, tan, tan^2`` of ``x`` from one tangent ``t = np.tan(x)``:
+    ``c = 1/sqrt(1 + t^2)`` and ``s = t*c``.
 
     ``np.tan`` runs on SIMD lanes where the CPU has them and costs a
     fraction of a scalar ``np.cos`` or ``np.sin``; ``c`` and ``s`` stay
@@ -208,7 +207,7 @@ def trig_via_tan(x, angle: bool = False, with_square: bool = False):
     c = 1.0 / np.sqrt(1.0 + t2)
     if angle:
         c = np.where((t < 0.0) == (x <= np.pi), -c, c)
-    return (c, t * c, t, t2) if with_square else (c, t * c, t)
+    return c, t * c, t, t2
 
 
 def h_tilde(rs, th):

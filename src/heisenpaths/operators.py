@@ -93,10 +93,10 @@ class TestFunction:
 # exact jets of the conformal factor and the gauge, and jet algebra
 
 
-def _h_first_order(c, s, ct, st, h=None):
-    """``h_fun`` and its two first partials from the cosines and sines of
-    ``rs`` and ``th``; ``h`` is ``h_fun`` there, if already known."""
-    return h_fun_cos(c, ct) if h is None else h, -2.0 * s * (ct + c), -2.0 * c * st
+def _h_partials(c, s, ct, st):
+    """The two first partials of ``h_fun`` from the cosines and sines of
+    ``rs`` and ``th``."""
+    return -2.0 * s * (ct + c), -2.0 * c * st
 
 
 def h_fun_jet(rs, th) -> Jet2:
@@ -105,9 +105,9 @@ def h_fun_jet(rs, th) -> Jet2:
     th = np.asarray(th, dtype=float)
     c, s = np.cos(rs), np.sin(rs)
     ct, st = np.cos(th), np.sin(th)
-    f, fu, fv = _h_first_order(c, s, ct, st)
+    fu, fv = _h_partials(c, s, ct, st)
     return Jet2(
-        f=f,
+        f=h_fun_cos(c, ct),
         fu=fu,
         fv=fv,
         fuu=-2.0 * c * ct - 2.0 * np.cos(2.0 * rs),
@@ -262,22 +262,22 @@ def drift_hproc(q, n: int):
     leaves an angle already there unchanged.
     """
     rs, th = q
-    c, s, ta = trig_via_tan(rs)
-    ct, st, _ = trig_via_tan(np.mod(th, TWO_PI), angle=True)
-    return drift_hproc_trig(c, s, ct, st, ta, n)
+    c, s, ta, ta2 = trig_via_tan(rs)
+    ct, st, _, _ = trig_via_tan(np.mod(th, TWO_PI), angle=True)
+    return drift_hproc_trig(c, s, ct, st, ta, ta2, h_fun_cos(c, ct), n)
 
 
-def drift_hproc_trig(c, s, ct, st, ta, n: int, h=None, ta2=None):
-    """:func:`drift_hproc` from ``c, s, ta = cos, sin, tan(rs)`` and
-    ``ct, st = cos, sin(th)``; ``h = h_fun_cos(c, ct)`` and ``ta2 = ta*ta``
-    are computed here unless given.
+def drift_hproc_trig(c, s, ct, st, ta, ta2, h, n: int):
+    """:func:`drift_hproc` from ``c, s, ta, ta2 = cos, sin, tan, tan^2(rs)``,
+    ``ct, st = cos, sin(th)`` and ``h = h_fun_cos(c, ct)``.
 
-    The simulator calls this with the trigonometry of each step computed
-    once, so :func:`drift_hproc` and the simulator run the same arithmetic.
+    The simulator calls this with the trigonometry and ``h`` of each step
+    computed once, so :func:`drift_hproc` and the simulator run the same
+    arithmetic.
     """
-    f, fu, fv = _h_first_order(c, s, ct, st, h)
-    br = 0.5 * sphere_radial_drift_tan(ta, n) - 0.5 * n * fu / f
-    bth = -0.5 * n * (ta**2 if ta2 is None else ta2) * fv / f
+    fu, fv = _h_partials(c, s, ct, st)
+    br = 0.5 * sphere_radial_drift_tan(ta, n) - 0.5 * n * fu / h
+    bth = -0.5 * n * ta2 * fv / h
     return br, bth
 
 

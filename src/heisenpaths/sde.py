@@ -282,7 +282,7 @@ def _hproc_trig(s: dict) -> dict:
     """Store in the :func:`sim_hproc` state ``s`` what its absorption test
     and the next step's drift read: ``trig_r = (cos, sin, tan, tan^2)(r)``,
     ``trig_th = (cos, sin)(th)`` and ``h``, the conformal factor there."""
-    s["trig_r"] = trig_via_tan(s["r"], with_square=True)
+    s["trig_r"] = trig_via_tan(s["r"])
     s["trig_th"] = trig_via_tan(s["th"], angle=True)[:2]
     s["h"] = h_fun_cos(s["trig_r"][0], s["trig_th"][0])
     return s
@@ -302,9 +302,9 @@ def _hproc_drift(s: dict, lo: float, hi: float, n: int):
     moved = re != r
     if moved.any():
         cr, sr, ta, ta2, h = cr.copy(), sr.copy(), ta.copy(), ta2.copy(), h.copy()
-        cr[moved], sr[moved], ta[moved], ta2[moved] = trig_via_tan(re[moved], with_square=True)
+        cr[moved], sr[moved], ta[moved], ta2[moved] = trig_via_tan(re[moved])
         h[moved] = h_fun_cos(cr[moved], ct[moved])
-    br, bth = drift_hproc_trig(cr, sr, ct, st, ta, n, h=h, ta2=ta2)
+    br, bth = drift_hproc_trig(cr, sr, ct, st, ta, ta2, h, n)
     return ta, br, bth
 
 
