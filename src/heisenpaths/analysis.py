@@ -465,7 +465,9 @@ def _pushforward(x0, u_grid, cfg, horizon_a, clock: str, sim_b, chart, gauge, co
     for u in u_grid:
         k = round(u / cfg.step) if isfinite(u) else 0
         if k < 1 or abs(k * cfg.step - u) > 1e-9 * max(1.0, u):
-            raise ValueError(f"u_grid level {u!r} is not a positive whole number of steps of step={cfg.step!r}")
+            raise ValueError(
+                f"u_grid level {u!r} is not a positive whole number of steps of step={cfg.step!r}"
+            )
     with np.errstate(all="ignore"):
         y0 = tuple(float(v) for v in chart(*x0))
     if not np.all(np.isfinite(y0)):

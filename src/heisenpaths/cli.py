@@ -548,7 +548,10 @@ def _drive_simulate(target: str, cfg: dict) -> tuple[list[CheckRecord], dict, di
             Coded(ens.death_time, rows, lambda i: i // m),
         ]
     header = ["path", "time"] + header
-    columns = [Coded(np.arange(ens.paths), rows, lambda i: i // m), Coded(ens.times, rows, lambda i: i % m)] + columns
+    columns = [
+        Coded(np.arange(ens.paths), rows, lambda i: i // m),
+        Coded(ens.times, rows, lambda i: i % m),
+    ] + columns
     extra = {
         "result.paths": ens.paths,
         "result.record_times": len(ens.times),
