@@ -125,8 +125,8 @@ def test_chart_matches_ambient(p):
 
 
 @pytest.mark.parametrize("r, t", [(1e-8, 0.0), (1e-3, 0.5), (1e5, 0.0), (0.99999, 0.0)])
-def test_ambient_radius_keeps_its_digits_near_the_axis(r, t):
-    # arccos(|w_last|) loses digits where r_s nears 0; the chart itself does not
+def test_ambient_radius_matches_the_chart_near_the_axis_and_the_equator(r, t):
+    # arccos(|w_last|) loses digits where r_s nears 0, arcsin where it nears pi/2
     rs_amb, _ = ambient_to_cyl(cayley1_full(HPoint(z=np.array([complex(r)]), t=t)).zeta)
     rs, _ = cayley1_chart(r, t)
     assert rs_amb == pytest.approx(rs, rel=1e-12)
