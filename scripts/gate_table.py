@@ -60,18 +60,24 @@ def main() -> int:
     ns = ap.parse_args()
     seeds = parse_seeds(ns.seeds)
 
-    print("\t".join(["check"] + [f"seed{s}" for s in seeds] + ["passed"]))
-    with tempfile.TemporaryDirectory() as tmp:
-        for command in ns.commands:
-            words = command.split()
-            manifests = [run(words, s, ns.workers, Path(tmp) / f"{'-'.join(words)}-{s}") for s in seeds]
-            keys = sorted(k for k in manifests[0] if k.startswith("test.") and k.endswith(".value"))
-            for key in keys:
-                passed = key[: -len(".value")] + ".pass"
-                ok = [m[passed] == "true" for m in manifests]
-                cells = [m[key] + ("" if p else "*") for m, p in zip(manifests, ok)]
-                rate = f"{sum(ok)}/{len(ok)}"
-                print("\t".join([f"{words[0]} {words[1]}: {key}"] + cells + [rate]), flush=True)
+    try:
+        print("\t".join(["check"] + [f"seed{s}" for s in seeds] + ["passed"]), flush=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            for command in ns.commands:
+                words = command.split()
+                manifests = [run(words, s, ns.workers, Path(tmp) / f"{'-'.join(words)}-{s}") for s in seeds]
+                keys = sorted(k for k in manifests[0] if k.startswith("test.") and k.endswith(".value"))
+                for key in keys:
+                    passed = key[: -len(".value")] + ".pass"
+                    ok = [m[passed] == "true" for m in manifests]
+                    cells = [m[key] + ("" if p else "*") for m, p in zip(manifests, ok)]
+                    rate = f"{sum(ok)}/{len(ok)}"
+                    print("\t".join([f"{words[0]} {words[1]}: {key}"] + cells + [rate]), flush=True)
+    except BrokenPipeError:
+        # the reader of stdout has exited (``| head``): stop.  Python
+        # flushes stdout again at exit, so point it at the null device.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
     return 0
 
 

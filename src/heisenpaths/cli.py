@@ -13,11 +13,16 @@ writes into its output directory:
   numeric results, and one ``test.<name>.value/.tolerance/.pass`` triple per
   named check;
 * data CSVs (schemas in the README): header row, fixed column order,
-  17-significant-digit floats;
-* ``run.log`` — timestamp, invocation echo and phase timings.  The log is
-  the only file with wall-clock content, so manifest and CSVs are
-  byte-identical across reruns with the same config and seed, for any
-  worker count.
+  floats as ``'%.17g' % v``.  Each chunk of rows is assembled in numpy
+  as byte rows, one NUL-padded field per column, and every NUL is then
+  dropped.  Floats in fixed notation are rendered exactly by numpy
+  (:func:`.csvrows.float_rows`); a value it cannot certify (not finite,
+  exponent notation, near a rounding tie, wrong exponent estimate) is
+  formatted by Python's ``%``;
+* ``run.log`` — timestamp, invocation echo, phase timings and the count of
+  floats ``%`` formatted.  The log is the only file with wall-clock
+  content, so manifest and CSVs are byte-identical across reruns with the
+  same config and seed, for any worker count.
 
 Each file is written to a temporary name and renamed into place, so it
 appears whole or not at all.
@@ -47,6 +52,7 @@ from .analysis import (
     pushforward_experiment_kelvin,
     tdist_experiment,
 )
+from .csvrows import csv_lines, float_rows, int_rows, str_rows
 from .operators import TestFunction, exp_jet, gauge_jet, sphere_basket
 from .sde import (
     SimConfig,
@@ -224,14 +230,28 @@ def _manifest_lines(command, cfg, records: list[CheckRecord], extra: dict) -> li
     return [f"{k} = {rows[k]}\n" for k in sorted(rows)]
 
 
-# rows per formatted chunk: bounds the Python objects alive at once
+# rows per formatted chunk.  A chunk is assembled as numpy byte rows, so it
+# bounds the arrays alive at once (a few hundred bytes a row) and is long
+# enough to keep numpy's per-call cost small; only the floats the vectorized
+# %.17g cannot certify go to Python's ``%`` one by one (``float_rows``)
 CSV_CHUNK_ROWS = 4096
 
-# CSV template field per column kind: same text as ``_fmt`` per value
-_CSV_FIELDS = {"i": "%d", "u": "%d", "f": "%.17g", "U": "%s"}
+# kinds of CSV column: integers (``%d``), floats (``%.17g``) and strings
+_CSV_KINDS = "iufU"
 
 
-def _csv_field(name: str, col: np.ndarray) -> str:
+def _field_rows(kind: str, col: np.ndarray) -> tuple[np.ndarray, int]:
+    """The text of each value of ``col`` as ``_fmt`` prints it, as NUL-padded
+    byte rows, and how many floats ``%`` formatted."""
+    if kind == "f":
+        rows, python = float_rows(np.asarray(col, dtype=np.float64))
+        return rows, int(np.count_nonzero(python))
+    if kind in "iu":
+        return int_rows(np.asarray(col, dtype=np.int64 if kind == "i" else np.uint64)), 0
+    return str_rows(col.tolist()), 0
+
+
+def _csv_kind(name: str, col: np.ndarray) -> str:
     kinds = {col.dtype.kind}
     if col.dtype.kind == "O":
         # a column built from a Python sequence takes the kind of its values
@@ -239,9 +259,9 @@ def _csv_field(name: str, col: np.ndarray) -> str:
     if len(kinds) > 1:
         raise TypeError(f"CSV column {name!r} mixes value kinds {sorted(kinds)}")
     kind = kinds.pop() if kinds else "U"
-    if kind not in _CSV_FIELDS:
+    if kind not in _CSV_KINDS:
         raise TypeError(f"CSV column {name!r} has unsupported values ({col.dtype})")
-    return _CSV_FIELDS[kind]
+    return kind
 
 
 class Coded(NamedTuple):
@@ -258,17 +278,18 @@ def _as_column(c):
     return c if isinstance(c, (np.ndarray, Coded)) else np.asarray(c, dtype=object)
 
 
-def _csv_chunks(header: list[str], columns) -> list[str]:
+def _csv_chunks(header: list[str], columns) -> tuple[list[str], int]:
     """CSV text: the header line, then the rows of ``columns`` (one 1-D array,
     sequence or :class:`Coded` column per header name) in chunks of
-    ``CSV_CHUNK_ROWS`` rows.
+    ``CSV_CHUNK_ROWS`` rows; and how many float fields ``%`` formatted.
 
-    One row template serves every row, with a field per column: ``%d`` for
-    integers, ``%.17g`` for floats and ``%s`` for strings, so each value
-    prints as ``_fmt`` prints it.  A column that mixes these kinds, or holds
-    anything else (booleans included), is an error.  A coded column formats
-    each of its values once with that field, and each chunk looks its rows'
-    texts up by code through a ``%s`` field."""
+    Each value prints as ``_fmt`` prints it: integers in decimal, floats as
+    ``%.17g``, strings as they are.  A column that mixes these kinds, or
+    holds anything else (booleans included), is an error.  Each column
+    becomes a matrix of NUL-padded byte rows (:mod:`.csvrows`), and
+    ``csv_lines`` joins a chunk's fields into lines and drops every NUL
+    byte.  A coded column formats each of its values once, and each chunk
+    gathers its rows' byte rows by code."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} CSV header names for {len(columns)} columns")
     cols = [_as_column(c) for c in columns]
@@ -276,35 +297,38 @@ def _csv_chunks(header: list[str], columns) -> list[str]:
     lengths = {c.rows if isinstance(c, Coded) else len(c) for c in cols}
     if any(c.ndim != 1 for c in plain) or len(lengths) > 1:
         raise ValueError("CSV columns must be 1-D and of one length")
-    fields, texts = [], {}
+    total = lengths.pop() if cols else 0
+    kinds, texts, python = [], {}, 0
     for j, (name, c) in enumerate(zip(header, cols)):
         if isinstance(c, Coded):
             values = _as_column(c.values)
             if values.ndim != 1:
                 raise ValueError(f"CSV column {name!r} has values that are not 1-D")
-            field = _csv_field(name, values)
-            texts[j] = np.array([field % v for v in values.tolist()], dtype=object)
-            fields.append("%s")
+            rows, count = _field_rows(_csv_kind(name, values), values)
+            # the byte columns that are NUL in every row would only be dropped again
+            texts[j], python = rows[:, rows.any(axis=0)], python + count
+            kinds.append(None)
         else:
-            fields.append(_csv_field(name, c))
-    template = ",".join(fields) + "\n"
+            kinds.append(_csv_kind(name, c))
     out = [",".join(header) + "\n"]
-    for lo in range(0, lengths.pop() if cols else 0, CSV_CHUNK_ROWS):
-        hi = lo + CSV_CHUNK_ROWS
-        part = []
+    for lo in range(0, total, CSV_CHUNK_ROWS):
+        hi = min(lo + CSV_CHUNK_ROWS, total)
+        fields = []
         for j, c in enumerate(cols):
             if j not in texts:
-                part.append(c[lo:hi].tolist())
+                rows, count = _field_rows(kinds[j], c[lo:hi])
+                fields.append(rows)
+                python += count
                 continue
-            rows = np.arange(lo, min(hi, c.rows))
-            codes = np.asarray(c.codes(rows))
-            if codes.dtype.kind not in "iu" or codes.shape != rows.shape:
+            index = np.arange(lo, hi)
+            codes = np.asarray(c.codes(index))
+            if codes.dtype.kind not in "iu" or codes.shape != index.shape:
                 raise TypeError(f"CSV column {header[j]!r} needs one integer code per row")
             if len(codes) and (codes.min() < 0 or codes.max() >= len(texts[j])):
                 raise IndexError(f"CSV column {header[j]!r} has a code out of range")
-            part.append(texts[j][codes].tolist())
-        out.append("".join(map(template.__mod__, zip(*part))))
-    return out
+            fields.append(np.take(texts[j], codes, axis=0))
+        out.append(csv_lines(fields).decode())
+    return out, python
 
 
 MANIFEST = "manifest.txt"
@@ -626,7 +650,10 @@ def main(argv=None) -> int:
         # errors from the runner's point of view
         print(f"config error: {e}", file=sys.stderr)
         return 2
-    csvs = {name: _csv_chunks(header, columns) for name, (header, columns) in files.items()}
+    csvs, python_fields = {}, 0
+    for name, (header, columns) in files.items():
+        csvs[name], count = _csv_chunks(header, columns)
+        python_fields += count
     t2 = time.perf_counter()
 
     writer.add(MANIFEST, _manifest_lines(command, cfg, records, extra))
@@ -642,6 +669,7 @@ def main(argv=None) -> int:
             f"elapsed_s {t2 - t0:.3f}\n",
             f"phase.drive_s {t1 - t0:.3f}\n",
             f"phase.format_s {t2 - t1:.3f}\n",
+            f"format.python_fields {python_fields}\n",
         ],
     )
     try:

@@ -4,6 +4,7 @@ checks at desk scale."""
 import numpy as np
 import pytest
 
+from heisenpaths import analysis
 from heisenpaths.analysis import (
     MCEstimate,
     _kolmogi,
@@ -33,7 +34,7 @@ from heisenpaths.operators import (
     sphere_basket,
     sphere_generator,
 )
-from heisenpaths.sde import sim_full_h, sim_radial_s
+from heisenpaths.sde import PathEnsemble, sim_full_h, sim_radial_s
 
 from conftest import small_cfg
 
@@ -216,6 +217,22 @@ def test_survival_eigenfactor_rate_matches_generator(n):
     for t in (0.25, 1.0, 3.0):
         decay = -np.log(survival_eigenfactor(n, t)) / t
         assert rate == pytest.approx(np.full(rate.shape, decay), rel=1e-11)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_survival_weight_is_h_to_the_minus_n_over_2(n, monkeypatch):
+    # every path sits at (0, 2pi/3), where h = 1, and the start (0, 0) has
+    # h = 4: the weight ratio is (1/4)^(-n/2) = 2^n.  A weight h^(-n^2/2)
+    # would give 2^(n^2), which differs from 2^n for n >= 2.
+    def at_h_one(run, x0, record_times, purpose):
+        shape = (len(record_times), 5)
+        return PathEnsemble(np.asarray(record_times), {"r": np.zeros(shape), "th": np.full(shape, 2 * np.pi / 3)})
+
+    monkeypatch.setattr(analysis, "sim_radial_s", at_h_one)
+    ts = np.array([0.25, 1.0])
+    curve = survival_T((0.0, 0.0), ts, small_cfg(n=n, paths=5))
+    assert curve.s_hat == pytest.approx(np.exp(-0.5 * n**2 * ts) * 2.0**n, rel=1e-12)
+    assert curve.capped_mass == 0.0
 
 
 def test_survival_curve_shape():

@@ -1,14 +1,18 @@
 """Runner behaviour: config plumbing, exit taxonomy, file formats,
 reproducibility."""
 
+import math
 import os
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from heisenpaths.cli import (
     COMMANDS,
@@ -21,6 +25,7 @@ from heisenpaths.cli import (
     main,
     resolve_config,
 )
+from heisenpaths.csvrows import float_rows
 
 
 def read_manifest(path):
@@ -443,6 +448,8 @@ def test_csv_chunks_match_fmt_per_value(rows):
     spread = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
     columns = [
         np.arange(rows, dtype=np.int64) - rows // 2,        # numpy int64
+        np.resize(np.array([-(2**63), 2**63 - 1, 0, -1, 10**18]), rows),  # int64 extremes
+        np.resize(np.array([2**64 - 1, 0, 10**19], dtype=np.uint64), rows),  # uint64
         [2**62 - i for i in range(rows)],                   # Python int
         (np.arange(rows) % 2).astype(np.int8),              # small ints
         edge,                                               # float64 edge values
@@ -452,7 +459,7 @@ def test_csv_chunks_match_fmt_per_value(rows):
         [("sphere", "heis")[i % 2] for i in range(rows)],   # Python str
     ]
     header = [f"c{j}" for j in range(len(columns))]
-    chunks = _csv_chunks(header, columns)
+    chunks, _ = _csv_chunks(header, columns)
     assert len(chunks) == 1 + -(-rows // CSV_CHUNK_ROWS)
     got, want = "".join(chunks), reference_csv(header, columns)
     if got != want:
@@ -487,7 +494,7 @@ def test_coded_columns_match_fmt_per_value(rows):
     ]
     header = [f"c{j}" for j in range(len(columns))]
     want = reference_csv(header, [expand(c) if isinstance(c, Coded) else c for c in columns])
-    assert "".join(_csv_chunks(header, columns)) == want
+    assert "".join(_csv_chunks(header, columns)[0]) == want
     if rows:
         assert "-0,0," in want and "0,-0," in want  # -0.0 and 0.0 print apart
 
@@ -524,6 +531,105 @@ def test_csv_chunks_reject_mixed_or_boolean_columns(column):
 def test_csv_chunks_reject_ragged_columns():
     with pytest.raises(ValueError):
         _csv_chunks(["a", "b"], [np.zeros(3), np.zeros(4)])
+
+
+@pytest.mark.parametrize("column", [["a\0b"], ["b\0"], ["\0"], np.array(["a\0b"])])
+def test_csv_string_with_nul_is_rejected(column):
+    # the byte rows are NUL-padded and every NUL is dropped, so a NUL in a
+    # string would vanish from the file
+    with pytest.raises(ValueError, match="NUL"):
+        _csv_chunks(["x"], [column])
+    with pytest.raises(ValueError, match="NUL"):
+        _csv_chunks(["x"], [Coded(column, 1, lambda i: i * 0)])
+
+
+# ---------------------------------------------------------------------------
+# the vectorized %.17g
+
+
+def rendered(values) -> tuple[list[str], list[bool]]:
+    """Text of each float as ``float_rows`` writes it, and whether ``%``
+    formatted it."""
+    rows, python = float_rows(np.asarray(values, dtype=np.float64))
+    return [row[row != 0].tobytes().decode() for row in rows], python.tolist()
+
+
+def certified(v: float) -> bool:
+    """Whether ``float_rows`` formats ``v`` without ``%``: its certificate
+    in exact arithmetic, from the same floating-point estimate of the
+    exponent."""
+    if v == 0:
+        return True
+    if not 1e-4 <= abs(v) < 1e16:
+        return False
+    k = int(np.floor(np.log10(np.array([abs(v)])))[0])
+    scaled = Fraction(abs(v)) * Fraction(10) ** (16 - k)
+    frac = scaled - math.floor(scaled)
+    digits = math.floor(scaled) + (frac > Fraction(1, 2))
+    return abs(frac - Fraction(1, 2)) >= Fraction(1e-6) and 10**16 <= digits < 10**17
+
+
+def near_tie(r: int) -> float:
+    """The float ``x`` in [1, 2) whose ``x * 10**16`` has the fraction
+    ``1/2 + r / 2**36``."""
+    m = (2**35 + r) * pow(5**16, -1, 2**36) % 2**36
+    return (2**52 + m) / 2**52
+
+
+# each edge of the certificate with the path it must take: "numpy" writes
+# the text, "%" hands it to Python
+FLOAT_EDGES = [
+    (0.0, "numpy"), (-0.0, "numpy"),
+    (math.nan, "%"), (math.inf, "%"), (-math.inf, "%"),
+    (5e-324, "%"), (-2.2250738585072014e-308, "%"),  # subnormal, smallest normal
+    (1e-4, "numpy"), (-1e-4, "numpy"), (math.nextafter(1e-4, 0), "%"),  # exponent notation below
+    (2.0**53, "numpy"), (-(2.0**53), "numpy"), (1e16, "%"),  # ... and from 1e16 up
+    (1 + 2**-17, "%"), (1 + 3 * 2**-17, "%"), (1e15 + 0.25, "%"), (1e15 + 0.75, "%"),  # exact ties
+    (near_tie(68719), "%"), (near_tie(-68719), "%"),  # within 1e-6 of a tie
+    (near_tie(68720), "numpy"), (near_tie(-68720), "numpy"),  # just outside
+    (0.1, "numpy"), (-123.456, "numpy"), (0.00012, "numpy"),
+]
+
+# where the estimate of the exponent may be one off, which the digit count
+# catches: powers of ten and their neighbours
+POWERS_NEAR = [f(10.0**j) for j in range(-4, 17) for f in (
+    lambda v: v, lambda v: math.nextafter(v, 0), lambda v: math.nextafter(v, math.inf)
+)]
+
+
+def with_examples(values):
+    def apply(test):
+        for v in values:
+            test = example(v)(test)
+        return test
+    return apply
+
+
+@settings(max_examples=500)
+@given(st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.integers(0, 2**64 - 1).map(lambda b: float(np.array(b, dtype=np.uint64).view(np.float64))),
+))
+@with_examples([v for v, _ in FLOAT_EDGES] + POWERS_NEAR)
+def test_float_rows_match_percent_g(v):
+    (text,), (python,) = rendered([v])
+    assert text == "%.17g" % v
+    assert python == (not certified(v))
+
+
+@pytest.mark.parametrize("value, path", FLOAT_EDGES, ids=[repr(v) for v, _ in FLOAT_EDGES])
+def test_float_certificate_edges_take_their_path(value, path):
+    (text,), (python,) = rendered([value])
+    assert text == "%.17g" % value
+    assert ("%" if python else "numpy") == path == ("numpy" if certified(value) else "%")
+
+
+def test_float_rows_batch_matches_one_by_one():
+    # one chunk of every edge and neighbour, each value in its own row
+    values = [v for v, _ in FLOAT_EDGES] + POWERS_NEAR
+    texts, python = rendered(values)
+    assert texts == ["%.17g" % v for v in values]
+    assert python == [not certified(v) for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +751,19 @@ def test_run_log_reports_phase_timings(tmp_path):
     assert drive >= 0.0 and fmt >= 0.0
     # each printed to the millisecond
     assert abs(total - drive - fmt) <= 0.0015
+    assert int(log["format.python_fields"]) >= 0
+
+
+def test_run_log_counts_the_floats_left_to_percent(tmp_path):
+    # two steps in, some |t| are below 1e-4, which %.17g writes in exponent
+    # notation; no field of this run is a near-tie
+    out = tmp_path / "o"
+    assert main(["simulate", "radial-h", "--out", str(out), "paths=16", "horizon=0.02",
+                 "step=2e-3", "record=0.002,0.004"]) == 0
+    log = dict(line.split(" ", 1) for line in (out / "run.log").read_text().splitlines())
+    _, rows = read_csv(out / "paths.csv")
+    exponent = sum("e" in field for row in rows for field in row)
+    assert int(log["format.python_fields"]) == exponent > 0
 
 
 def test_write_failure_exits_3_and_leaves_no_partial_file(tmp_path, capsys):

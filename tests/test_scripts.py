@@ -1,6 +1,6 @@
 """Every script under ``scripts/`` imports what it names from the package:
 ``--help`` runs each one in a fresh process and exits 0.  ``gate_table.py``
-also runs a command over seeds."""
+also runs a command over seeds, and stops quietly when its reader does."""
 
 import os
 import subprocess
@@ -30,3 +30,18 @@ def test_gate_table_counts_passing_seeds():
     assert header == ["check", "seed1", "seed2", "passed"]
     assert rows and all(row[0].startswith("verify geometry: test.") for row in rows)
     assert all(len(row) == 4 and row[-1] == "2/2" for row in rows)
+
+
+def test_gate_table_stops_quietly_when_the_reader_closes_the_pipe():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    argv = [sys.executable, str(ROOT / "scripts" / "gate_table.py"), "--seeds", "1-2", "verify geometry"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        header = proc.stdout.readline()
+        proc.stdout.close()  # like ``| head -1``: the reader leaves after the header
+        _, err = proc.communicate(timeout=300)
+    finally:
+        proc.kill()
+    assert header.split(b"\t")[0] == b"check"
+    assert proc.returncode == 0, err.decode()
+    assert b"Traceback" not in err and b"BrokenPipeError" not in err
