@@ -2,6 +2,18 @@
 maps between them, and Monte Carlo checks that conformal images of the free
 motion are time-changed conditioned diffusions."""
 
+import os
+import sys
+
+# numpy's bundled OpenBLAS starts a worker thread for each extra CPU when
+# numpy loads, and those threads burn CPU at start-up for nothing here: the
+# package's one np.linalg call, norm(..., axis=-1) in geometry.ambient_to_cyl,
+# reduces elementwise, and everything else is a ufunc.  So pin OpenBLAS to
+# one thread before the first submodule loads numpy.  A value the user set
+# is kept, and a process that loaded numpy first is left alone.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .analysis import (
     MCEstimate,
     SurvivalCurve,

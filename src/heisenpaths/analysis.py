@@ -22,7 +22,7 @@ a smoothstep that vanishes where the conditioning factor is below 0.1 and is
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import exp, isfinite, isnan, log, nan, pi, sqrt
+from math import exp, isnan, log, nan, pi, sqrt
 from math import gamma as gamma_fn
 from typing import Sequence
 
@@ -31,7 +31,7 @@ import numpy as np
 from .geometry import cayley1_chart, cayley1_chart_inv, h_fun, h_tilde, kelvin_radial, koranyi_N
 from .operators import TestFunction
 from .rng import PURPOSE_COMPARE, PURPOSE_MAIN
-from .sde import SimConfig, sim_hproc, sim_Nproc, sim_radial_h, sim_radial_s
+from .sde import SimConfig, grid_steps, sim_hproc, sim_Nproc, sim_radial_h, sim_radial_s
 
 __all__ = [
     "MCEstimate",
@@ -165,11 +165,13 @@ def survival_T(
 
     with the weight capped at its absorption-boundary value
     ``absorb_floor_h^(-n/2)`` (the capped fraction is reported).  ``S(0)`` is
-    1 by definition.
+    1 by definition.  The times ``ts`` are distinct nonnegative whole
+    numbers of steps, at least one of them positive.
     """
+    ks = grid_steps("ts time", ts, cfg.step, positive=False)
+    if not ks or ks[-1] == 0:
+        raise ValueError(f"ts holds no positive time (step={cfg.step!r})")
     ts = np.asarray(sorted(float(t) for t in ts), dtype=float)
-    if ts[0] < 0:
-        raise ValueError("times must be nonnegative")
     n = cfg.n
     run = replace(cfg, horizon=float(ts[-1]))
     ens = sim_radial_s(run, x0=x0, record_times=ts, purpose=purpose)
@@ -459,15 +461,10 @@ def _pushforward(x0, u_grid, cfg, horizon_a, clock: str, sim_b, chart, gauge, co
     outside the domain of ``chart``, or one that maps into route B's
     absorption region, fails before route A steps a path.  The two routes
     draw from their own streams, so their order changes no output.  Route
-    B records at the levels and runs to the highest, so each level must be
-    a positive whole number of steps."""
+    B records at the levels and runs to the highest, so the levels must be
+    distinct positive whole numbers of steps."""
+    grid_steps("u_grid level", u_grid, cfg.step)
     u_grid = sorted(float(u) for u in u_grid)
-    for u in u_grid:
-        k = round(u / cfg.step) if isfinite(u) else 0
-        if k < 1 or abs(k * cfg.step - u) > 1e-9 * max(1.0, u):
-            raise ValueError(
-                f"u_grid level {u!r} is not a positive whole number of steps of step={cfg.step!r}"
-            )
     with np.errstate(all="ignore"):
         y0 = tuple(float(v) for v in chart(*x0))
     if not np.all(np.isfinite(y0)):

@@ -19,10 +19,11 @@ writes into its output directory:
   (:func:`.csvrows.float_rows`); a value it cannot certify (not finite,
   exponent notation, near a rounding tie, wrong exponent estimate) is
   formatted by Python's ``%``;
-* ``run.log`` — timestamp, invocation echo, phase timings and the count of
-  floats ``%`` formatted.  The log is the only file with wall-clock
-  content, so manifest and CSVs are byte-identical across reruns with the
-  same config and seed, for any worker count.
+* ``run.log`` — timestamp, invocation echo, phase timings, the count of
+  floats ``%`` formatted and the CPU time of the whole process so far.
+  The log is the only file with wall-clock content, so manifest and CSVs
+  are byte-identical across reruns with the same config and seed, for any
+  worker count.
 
 Each file is written to a temporary name and renamed into place, so it
 appears whole or not at all.
@@ -56,6 +57,7 @@ from .csvrows import csv_lines, float_rows, int_rows, str_rows
 from .operators import TestFunction, exp_jet, gauge_jet, sphere_basket
 from .sde import (
     SimConfig,
+    grid_steps,
     sim_full_h,
     sim_hproc,
     sim_Nproc,
@@ -515,6 +517,10 @@ def _semigroup_result(label: str, side: str, func: str, t: float, res: dict):
 
 def _drive_semigroup(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
     sim = _sim_config(cfg)
+    # each comparison runs to its own time, so check every time before the
+    # first one runs
+    grid_steps("t_grid time", cfg["t_grid"], sim.step)
+    grid_steps("tn", (cfg["tn"],), sim.step)
     x = (cfg["x0_r"], cfg["x0_t"])
     results = [
         _semigroup_result(f.name, "sphere", f.name, t, doob_semigroup_check(f, x, t, sim))
@@ -670,6 +676,7 @@ def main(argv=None) -> int:
             f"phase.drive_s {t1 - t0:.3f}\n",
             f"phase.format_s {t2 - t1:.3f}\n",
             f"format.python_fields {python_fields}\n",
+            f"cpu_s {time.process_time():.3f}\n",
         ],
     )
     try:

@@ -107,6 +107,7 @@ __all__ = [
     "sim_hproc",
     "sim_Nproc",
     "project_radial",
+    "grid_steps",
 ]
 
 
@@ -215,20 +216,34 @@ CLOCKS: dict[str, Callable] = {
 }
 
 
+def grid_steps(label: str, times: Sequence[float], step: float, positive: bool = True) -> list[int]:
+    """Step counts of ``times`` in ascending order.  Each time must be a
+    whole number of steps of ``step``, positive or (``positive=False``)
+    nonnegative, and no two may fall on one step.  An error names
+    ``label``, the time and ``step``, so callers pass the key the times
+    came from."""
+    lo, kind = (1, "positive") if positive else (0, "nonnegative")
+    ks: list[int] = []
+    for T in sorted(float(t) for t in times):
+        if not math.isfinite(T):
+            raise ValueError(f"{label} {T!r} is not finite")
+        k = round(T / step)
+        if k < lo or abs(k * step - T) > 1e-9 * max(1.0, T):
+            raise ValueError(f"{label} {T!r} is not a {kind} whole number of steps of step={step!r}")
+        if ks and ks[-1] == k:
+            raise ValueError(f"duplicate {label} {T!r} on the grid of step={step!r}")
+        ks.append(k)
+    return ks
+
+
 def _snap_slots(cfg: SimConfig, record_times: Sequence[float]) -> tuple[np.ndarray, dict[int, int]]:
-    """Map record times onto step indices; they must sit on the step grid."""
+    """Map record times onto step indices; they must sit on the step grid,
+    no later than the horizon."""
     times = np.asarray(sorted(record_times), dtype=float)
-    slots: dict[int, int] = {}
-    for j, T in enumerate(times):
-        if not np.isfinite(T):
-            raise ValueError(f"record time {T} is not finite")
-        k = int(round(T / cfg.step))
-        if not 0 <= k <= cfg.steps or abs(k * cfg.step - T) > 1e-9 * max(1.0, T):
-            raise ValueError(f"record time {T} not on the step grid")
-        if k in slots:
-            raise ValueError(f"duplicate record time {T}")
-        slots[k] = j
-    return times, slots
+    ks = grid_steps("record time", times, cfg.step, positive=False)
+    if ks and ks[-1] > cfg.steps:
+        raise ValueError(f"record time {float(times[-1])!r} lies beyond the horizon {cfg.horizon!r}")
+    return times, {k: j for j, k in enumerate(ks)}
 
 
 def _run_blocked(cfg: SimConfig, purpose: int, kernel: Callable) -> dict:

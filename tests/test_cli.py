@@ -137,7 +137,7 @@ def test_start_mapped_into_route_b_absorption_fails_before_route_a(tmp_path, cap
 
 
 @pytest.mark.parametrize("target", ["cayley", "kelvin"])
-@pytest.mark.parametrize("grid", ["0.3001", "0.1,0.3001", "-0.1"])
+@pytest.mark.parametrize("grid", ["0.3001", "0.1,0.3001", "-0.1", "0.3,0.3"])
 def test_level_off_the_step_grid_names_u_grid_and_step(tmp_path, capsys, monkeypatch, target, grid):
     # route B records at each level, so a level must sit on the step grid;
     # the message names the keys the experiment takes, not its runs' horizon
@@ -152,6 +152,34 @@ def test_level_off_the_step_grid_names_u_grid_and_step(tmp_path, capsys, monkeyp
     assert main(["experiment", target, f"u_grid={grid}", "paths=100", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "u_grid level" in err and "step=0.001" in err and "horizon" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "target, bad, named",
+    [
+        ("tdist", "ts=0.0005", "ts time 0.0005"),
+        ("tdist", "ts=0.25,0.25", "duplicate ts time 0.25"),
+        ("tdist", "ts=0.00051,1", "ts time 0.00051"),
+        ("semigroup", "t_grid=0", "t_grid time 0.0"),
+        ("semigroup", "tn=0.0004", "tn 0.0004"),
+    ],
+)
+def test_time_off_the_step_grid_names_its_key_and_step(tmp_path, capsys, monkeypatch, target, bad, named):
+    # each time is a record time or the horizon of a run, so it must sit on
+    # the step grid; the message names the key and step, not a run's
+    # horizon, and no simulator runs first
+    from heisenpaths import analysis
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulator ran")
+
+    for name in ("sim_radial_h", "sim_radial_s", "sim_hproc", "sim_Nproc"):
+        monkeypatch.setattr(analysis, name, no_run)
+    out = tmp_path / target
+    assert main(["experiment", target, bad, "paths=100", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "step=0.001" in err and "horizon" not in err
     assert not out.exists()
 
 
@@ -185,25 +213,31 @@ def test_start_radius_outside_domain_is_config_error(tmp_path, capsys, target, x
     assert not out.exists()
 
 
+def _config_error(command, bad, message="finite"):
+    return pytest.param(command, bad, message, id=f"{command}-{bad}")
+
+
 @pytest.mark.parametrize(
-    "command, bad",
+    "command, bad, message",
     [
-        ("simulate radial-h", "horizon=inf"),
-        ("simulate radial-h", "paths=inf"),
-        ("simulate radial-h", "x0_r=nan"),
-        ("simulate radial-h", "x0_t=inf"),
-        ("simulate radial-h", "tame=nan"),
-        ("simulate radial-h", "record=0,inf"),
-        ("simulate hproc", "record=nan"),
-        ("experiment cayley", "horizon_a=inf"),
-        ("experiment cayley", "u_grid=0.1,nan"),
-        ("experiment kelvin", "u_grid=inf"),
-        ("experiment tdist", "ts=0,inf"),
-        ("verify geometry", "seed=nan"),
-        ("verify geometry", "tol.kelvin_involution=inf"),
+        _config_error("simulate radial-h", "horizon=inf"),
+        _config_error("simulate radial-h", "paths=inf"),
+        _config_error("simulate radial-h", "x0_r=nan"),
+        _config_error("simulate radial-h", "x0_t=inf"),
+        _config_error("simulate radial-h", "tame=nan"),
+        _config_error("simulate radial-h", "record=0,inf"),
+        # on the step grid, but past the horizon of 0.01
+        _config_error("simulate radial-h", "record=0.02", "record time 0.02 lies beyond the horizon 0.01"),
+        _config_error("simulate hproc", "record=nan"),
+        _config_error("experiment cayley", "horizon_a=inf"),
+        _config_error("experiment cayley", "u_grid=0.1,nan"),
+        _config_error("experiment kelvin", "u_grid=inf"),
+        _config_error("experiment tdist", "ts=0,inf"),
+        _config_error("verify geometry", "seed=nan"),
+        _config_error("verify geometry", "tol.kelvin_involution=inf"),
     ],
 )
-def test_non_finite_value_is_config_error(tmp_path, capsys, command, bad):
+def test_non_finite_value_is_config_error(tmp_path, capsys, command, bad, message):
     out = tmp_path / "o"
     # later overrides win, so the bad value replaces the small defaults of
     # the keys the command takes
@@ -211,7 +245,7 @@ def test_non_finite_value_is_config_error(tmp_path, capsys, command, bad):
     small = [item for item in ("paths=8", "horizon=0.01") if item.partition("=")[0] in keys]
     argv = command.split() + small + [bad, "--out", str(out)]
     assert main(argv) == 2
-    assert "finite" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -752,6 +786,8 @@ def test_run_log_reports_phase_timings(tmp_path):
     # each printed to the millisecond
     assert abs(total - drive - fmt) <= 0.0015
     assert int(log["format.python_fields"]) >= 0
+    # CPU of the whole process, all threads, since the interpreter started
+    assert float(log["cpu_s"]) > 0.0
 
 
 def test_run_log_counts_the_floats_left_to_percent(tmp_path):

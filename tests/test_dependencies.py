@@ -1,6 +1,8 @@
 """The package runs on numpy alone: no module imports another third-party
 package, and the law experiments, whose KS p-values and critical values are
-computed in-repo, load no scipy module."""
+computed in-repo, load no scipy module.  Importing the package pins
+numpy's OpenBLAS to one thread, unless the user set the thread count or
+numpy loaded first."""
 
 import ast
 import importlib
@@ -8,6 +10,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
@@ -49,19 +53,45 @@ def test_exports_resolve_and_src_imports_no_tests():
         assert [name for name in names if not hasattr(module, name)] == [], path.name
 
 
+def _run_python(code: str, **env_vars: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter with ``src`` on the path and
+    ``OPENBLAS_NUM_THREADS`` unset unless given in ``env_vars``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
 def test_law_experiments_load_no_scipy(tmp_path):
+    # importing the package first pins numpy's OpenBLAS to one thread, so no
+    # worker thread starts beside the main one
     code = f"""
+import os
 import sys
 from heisenpaths import cli
+print(os.environ.get("OPENBLAS_NUM_THREADS"))
+print(len(os.listdir("/proc/self/task")) if sys.platform == "linux" else 1)
 for target in ("cayley", "kelvin"):
     out = {str(tmp_path)!r} + "/" + target
     rc = cli.main(["experiment", target, "paths=300", "step=5e-3", "horizon_a=5", "--out", out])
     assert rc == 0, (target, rc)
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
 """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    lines = _run_python(code).stdout.splitlines()
+    assert lines[:2] == ["1", "1"]
+    assert lines[-1] == "[]"
     for target in ("cayley", "kelvin"):
         assert "ks_r" in (tmp_path / target / "manifest.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "first, preset, expected",
+    [("", "3", "3"), ("import numpy\n", None, "None")],
+    ids=["value-set-by-the-user", "numpy-loaded-first"],
+)
+def test_openblas_pin_leaves_a_set_value_and_a_loaded_numpy_alone(first, preset, expected):
+    code = first + "import os\nimport heisenpaths\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+    assert _run_python(code, **env).stdout.strip() == expected
