@@ -1,27 +1,29 @@
 """Golden output bytes: SHA-256 of ``manifest.txt`` plus every CSV for small
 fixed runs of each verify, experiment and simulate command, at seed 1.
 
-The pinned digests guard the reproducibility contract across refactors and
-speed-ups of the simulators: a change that alters any of these bytes must
-be declared (``meta.version`` bump, CHANGES.md entry) and the digests
-re-pinned with it.  The runs are chosen to cover a partial final block
-(``paths=4196``), levels that every path crosses well before ``horizon_a``
-(cayley, kelvin preimage), a level that some paths never reach (kelvin
-image), an absorbing ensemble that dies out before its horizon
-(``tdist-absorbed``) and record times on every simulator.  The ``-equator``
-runs start the sphere processes beyond the upper guard clip of the radial
-coordinate (``x0_r=1.55``); the ``-wrap`` runs start the angle just below
-``2*pi`` (``x0_t=6.28``), so it wraps in both directions.  The
-``-chunks`` runs write 18,700 CSV rows, more than one formatting chunk
-with a partial last one; the ``hproc`` one has absorbed and surviving
-rows on both sides of each chunk boundary.  The two ``verify`` runs write
-no CSV: they pin the manifest's config echo and check records, with every
-tolerance at its default.  Digests depend
+The pinned digests guard the reproducibility contract across refactors
+and speed-ups of the simulators: a change that alters any of these bytes
+must be declared (``meta.version`` bump, CHANGES.md entry) and the
+digests re-pinned with it.  The runs are chosen to cover a partial final
+block (``paths=4196``), levels that every path crosses well before
+``horizon_a`` (cayley, kelvin preimage), a level that some paths never
+reach (kelvin image), an absorbing ensemble that dies out before its
+horizon (``tdist-absorbed``), a semigroup run at n=2 whose two times
+come unsorted, from starts off the origin (``semigroup-n2-times``, which
+tells apart the record slots of one run), and record times on every
+simulator.  The ``-equator`` runs start the sphere processes beyond the
+upper guard clip of the radial coordinate (``x0_r=1.55``); the ``-wrap``
+runs start the angle just below ``2*pi`` (``x0_t=6.28``), so it wraps in
+both directions.  The ``-chunks`` runs write 18,700 CSV rows, more than
+one formatting chunk with a partial last one; the ``hproc`` one has
+absorbed and surviving rows on both sides of each chunk boundary.  The
+two ``verify`` runs write no CSV: they pin the manifest's config echo
+and check records, with every tolerance at its default.  Digests depend
 on numpy's Philox stream and on the platform's floating point; those of
-runs through ``sim_hproc`` (cayley, tdist, semigroup, hproc) also depend on
-whether ``np.tan`` runs on numpy's SIMD lanes.  A numpy upgrade that changes
-them is a contract change too.  They are pinned at ``meta.version`` 0.4.0
-on an AVX-512 x86-64 machine with numpy 2.4.
+runs through ``sim_hproc`` (cayley, tdist, semigroup, hproc) also depend
+on whether ``np.tan`` runs on numpy's SIMD lanes.  A numpy upgrade that
+changes them is a contract change too.  They are pinned at
+``meta.version`` 0.4.0 on an AVX-512 x86-64 machine with numpy 2.4.
 """
 
 import hashlib
@@ -59,6 +61,11 @@ RUNS = {
     "semigroup": (
         ["experiment", "semigroup", "paths=500", "step=5e-3", "t_grid=0.25"],
         0, "9c9ab9c4905cd3b64e04ecbdf0d5d2afe93c6c6e4f30111e9ec44b6ce54ced76",
+    ),
+    "semigroup-n2-times": (
+        ["experiment", "semigroup", "n=2", "paths=500", "step=5e-3", "t_grid=0.5,0.25", "tn=0.25",
+         "x0_r=0.3", "x0_t=1.0", "xn_r=0.8", "xn_t=0.5"],
+        0, "07bf3f43904b3c4e067e9aa8d817b9799f6d2123ef491b620d4cf6227d69f8c7",
     ),
     "radial-h": (
         ["simulate", "radial-h", "paths=10", "horizon=0.05", "step=2e-3", "x0_r=0.3",
