@@ -223,47 +223,48 @@ def _smoothstep(v, lo: float = 0.1, hi: float = 0.2):
     return s * s * (3.0 - 2.0 * s)
 
 
-def _doob_check(f, x, t, cfg, sim_cond, sim_free, weight, coord: str, eigenfactor: float) -> dict:
+def _doob_check(fs, x, ts, cfg, sim_cond, sim_free, weight, coord: str, decays: bool) -> list[dict]:
     """Body of both semigroup checks: ``sim_cond`` is the conditioned
     process, ``sim_free`` the free one, ``weight`` the conditioning factor
-    (``w = weight^(-n/2)``, and the cutoff smoothstep is taken in it) and
-    ``coord`` the second state coordinate."""
+    (``w = weight^(-n/2)``, and the cutoff smoothstep is taken in it),
+    ``coord`` the second state coordinate and ``decays`` whether ``w``
+    carries the survival eigenfactor.  Each process runs once and records,
+    at every time, what a run to that time ends with."""
     n = cfg.n
-    run = replace(cfg, horizon=float(t))
+    run = replace(cfg, horizon=float(max(ts)))
+    cond = sim_cond(run, x0=x, record_times=ts, purpose=PURPOSE_MAIN)
+    free = sim_free(run, x0=x, record_times=ts, purpose=PURPOSE_COMPARE)
+    w0 = weight(*x) ** (-0.5 * n)
 
-    def obs(r, v):
+    def obs(f, r, v):
         return f.eval(r, v) * _smoothstep(weight(r, v))
 
-    cond = sim_cond(run, x0=x, record_times=(t,), purpose=PURPOSE_MAIN)
-    vals = obs(cond.states["r"][-1], cond.states[coord][-1])
-    est1 = _mean_se(np.where(cond.alive[-1], vals, 0.0))
+    def check(f, t):
+        j = int(np.searchsorted(cond.times, t))
+        vals = obs(f, cond.states["r"][j], cond.states[coord][j])
+        est1 = _mean_se(np.where(cond.alive[j], vals, 0.0))
+        r, v = free.states["r"][j], free.states[coord][j]
+        w = weight(r, v) ** (-0.5 * n)
+        fac = float(survival_eigenfactor(n, t)) if decays else 1.0
+        est2 = _mean_se(fac * w * obs(f, r, v) / w0)
+        gap = abs(est1.value - est2.value)
+        se = float(np.hypot(est1.std_error, est2.std_error))
+        tol = 3.0 * se + 0.02
+        return {"func": f.name, "t": t, "conditioned": est1, "weighted": est2, "gap": gap, "se": se,
+                "tol": tol, "pass": gap <= tol}
 
-    free = sim_free(run, x0=x, record_times=(t,), purpose=PURPOSE_COMPARE)
-    r, v = free.states["r"][-1], free.states[coord][-1]
-    w = weight(r, v) ** (-0.5 * n)
-    w0 = weight(*x) ** (-0.5 * n)
-    est2 = _mean_se(eigenfactor * w * obs(r, v) / w0)
-
-    gap = abs(est1.value - est2.value)
-    se = float(np.hypot(est1.std_error, est2.std_error))
-    return {
-        "conditioned": est1,
-        "weighted": est2,
-        "gap": gap,
-        "se": se,
-        "tol": 3.0 * se + 0.02,
-        "pass": gap <= 3.0 * se + 0.02,
-    }
+    return [check(f, t) for f in fs for t in ts]
 
 
 def doob_semigroup_check(
-    f: TestFunction,
+    fs: Sequence[TestFunction],
     x: tuple[float, float],
-    t: float,
+    ts: Sequence[float],
     cfg: SimConfig,
-) -> dict:
-    """Compare two estimates of the conditioned sphere semigroup at time
-    ``t`` applied to ``f`` (times a pole cutoff), started at ``x``:
+) -> list[dict]:
+    """Compare two estimates of the conditioned sphere semigroup at each
+    time of ``ts`` applied to each of ``fs`` (times a pole cutoff), started
+    at ``x``:
 
     1. plain mean of the observable along the conditioned process, dead
        paths contributing zero;
@@ -272,23 +273,23 @@ def doob_semigroup_check(
 
     The observable is ``f`` multiplied by a smoothstep vanishing where the
     conformal factor is below 0.1 (1 above 0.2) — identically in both
-    estimates, so they target the same functional.
+    estimates, so they target the same functional.  Returns one result
+    per function and time, ``fs`` outermost, from one run of each process.
     """
-    fac = float(survival_eigenfactor(cfg.n, t))
-    return _doob_check(f, x, t, cfg, sim_hproc, sim_radial_s, h_fun, "th", fac)
+    return _doob_check(fs, x, ts, cfg, sim_hproc, sim_radial_s, h_fun, "th", decays=True)
 
 
 def doob_semigroup_check_N(
-    F: TestFunction,
+    Fs: Sequence[TestFunction],
     x: tuple[float, float],
-    t: float,
+    ts: Sequence[float],
     cfg: SimConfig,
-) -> dict:
+) -> list[dict]:
     """Group-side analogue of :func:`doob_semigroup_check`: the conditioned
     Heisenberg process against the ``N^(-n/2)``-weighted free motion.  The
     weight is harmonic (no eigenfactor: ``1.0 * w`` is ``w`` bit for bit);
     the cutoff smoothstep is taken in the gauge."""
-    return _doob_check(F, x, t, cfg, sim_Nproc, sim_radial_h, koranyi_N, "t", 1.0)
+    return _doob_check(Fs, x, ts, cfg, sim_Nproc, sim_radial_h, koranyi_N, "t", decays=False)
 
 
 # ---------------------------------------------------------------------------

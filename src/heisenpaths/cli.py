@@ -57,6 +57,7 @@ from .csvrows import csv_lines, float_rows, int_rows, str_rows
 from .operators import TestFunction, exp_jet, gauge_jet, sphere_basket
 from .sde import (
     SimConfig,
+    conditioned_start,
     grid_steps,
     sim_full_h,
     sim_hproc,
@@ -506,38 +507,28 @@ def _drive_tdist(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
     return records, extra, files
 
 
-def _semigroup_result(label: str, side: str, func: str, t: float, res: dict):
-    """Check record and ``semigroup.csv`` row of one semigroup comparison."""
-    cond, weighted = res["conditioned"], res["weighted"]
-    record = CheckRecord(f"semigroup_{label}_t{_fmt(t)}", res["gap"], res["tol"])
-    row = (side, func, t, cond.value, cond.std_error, weighted.value, weighted.std_error,
-           res["gap"], res["tol"])
-    return record, row
-
-
 def _drive_semigroup(cfg: dict) -> tuple[list[CheckRecord], dict, dict]:
     sim = _sim_config(cfg)
-    # each comparison runs to its own time, so check every time before the
-    # first one runs
+    # both sides' times and starts are checked before either side runs
     grid_steps("t_grid time", cfg["t_grid"], sim.step)
     grid_steps("tn", (cfg["tn"],), sim.step)
-    x = (cfg["x0_r"], cfg["x0_t"])
-    results = [
-        _semigroup_result(f.name, "sphere", f.name, t, doob_semigroup_check(f, x, t, sim))
-        for f in sphere_basket()
-        for t in cfg["t_grid"]
-    ]
+    x = conditioned_start(sim, (cfg["x0_r"], cfg["x0_t"]), True, "x0_r, x0_t")
+    xn = conditioned_start(sim, (cfg["xn_r"], cfg["xn_t"]), False, "xn_r, xn_t")
+    # each side is one conditioned and one free run, recorded at every time
     expN = TestFunction("expN", lambda u, v: exp_jet(gauge_jet(u, v), -1.0))
-    res = doob_semigroup_check_N(expN, (cfg["xn_r"], cfg["xn_t"]), cfg["tn"], sim)
-    results.append(_semigroup_result("N_expN", "heis", "expN", cfg["tn"], res))
-    records, rows = zip(*results)
-    files = {
-        "semigroup.csv": (
-            ["side", "func", "t", "conditioned", "conditioned_se", "weighted", "weighted_se", "gap", "tol"],
-            list(zip(*rows)),
-        )
-    }
-    return list(records), {}, files
+    results = [("sphere", "", res) for res in doob_semigroup_check(sphere_basket(), x, cfg["t_grid"], sim)]
+    results += [("heis", "N_", res) for res in doob_semigroup_check_N([expN], xn, (cfg["tn"],), sim)]
+    records = [
+        CheckRecord(f"semigroup_{pre}{res['func']}_t{_fmt(res['t'])}", res["gap"], res["tol"])
+        for _, pre, res in results
+    ]
+    rows = [
+        (side, res["func"], res["t"], res["conditioned"].value, res["conditioned"].std_error,
+         res["weighted"].value, res["weighted"].std_error, res["gap"], res["tol"])
+        for side, _, res in results
+    ]
+    header = ["side", "func", "t", "conditioned", "conditioned_se", "weighted", "weighted_se", "gap", "tol"]
+    return records, {}, {"semigroup.csv": (header, list(zip(*rows)))}
 
 
 def _default_record(sim: SimConfig) -> tuple[float, ...]:

@@ -108,6 +108,7 @@ __all__ = [
     "sim_Nproc",
     "project_radial",
     "grid_steps",
+    "conditioned_start",
 ]
 
 
@@ -323,16 +324,25 @@ def _hproc_drift(s: dict, lo: float, hi: float, n: int):
     return ta, br, bth
 
 
-def _start_point(x0, sphere: bool) -> tuple[float, float]:
-    """A finite start ``(r, th)`` or ``(r, t)`` whose radial coordinate lies
-    in its domain: ``[0, pi/2)`` on the sphere, ``[0, inf)`` on the group."""
+def _start_point(x0, sphere: bool, label: str = "x0") -> tuple[float, float]:
+    """A finite start ``(r, th)`` or ``(r, t)``, named ``label``, whose radial
+    coordinate lies in ``[0, pi/2)`` on the sphere, ``[0, inf)`` on the group."""
     a, b = float(x0[0]), float(x0[1])
     if not (math.isfinite(a) and math.isfinite(b)):
-        raise ValueError(f"start point must be finite, got ({a!r}, {b!r})")
+        raise ValueError(f"{label} must be finite, got ({a!r}, {b!r})")
     if sphere and not 0 <= a < np.pi / 2:
-        raise ValueError("x0 radial coordinate must lie in [0, pi/2)")
+        raise ValueError(f"{label} radial coordinate must lie in [0, pi/2), got {a!r}")
     if a < 0:
-        raise ValueError("x0 radial coordinate must be nonnegative")
+        raise ValueError(f"{label} radial coordinate must be nonnegative, got {a!r}")
+    return a, b
+
+
+def conditioned_start(cfg: SimConfig, x0, sphere: bool, label: str = "x0") -> tuple[float, float]:
+    """Start of :func:`sim_hproc` (``sphere``) or :func:`sim_Nproc`, named
+    ``label``: in its domain and outside the absorption region."""
+    a, b = _start_point(x0, sphere, label)
+    if h_fun(a, b) <= cfg.absorb_floor_h if sphere else koranyi_N(a, b) <= cfg.absorb_floor_N:
+        raise ValueError(f"{label} = ({a!r}, {b!r}) lies inside the absorption region")
     return a, b
 
 
@@ -602,9 +612,7 @@ def sim_hproc(
     upper = np.pi / 2 - guard
     hi = np.pi / 2 - cfg.r_floor
     floor = cfg.absorb_floor_h
-    r0, th0 = _start_point(x0, sphere=True)
-    if h_fun(r0, th0) <= floor:
-        raise ValueError("x0 starts inside the absorption region")
+    r0, th0 = conditioned_start(cfg, x0, sphere=True)
 
     def start(width):
         return _hproc_trig({"r": np.full(width, r0), "th": np.full(width, th0 % TWO_PI)})
@@ -637,9 +645,7 @@ def sim_Nproc(
     cap = _drift_cap(cfg)
     guard = 0.5 * sq
     floor = cfg.absorb_floor_N
-    r0, t0 = _start_point(x0, sphere=False)
-    if koranyi_N(r0, t0) <= floor:
-        raise ValueError("x0 starts inside the absorption region")
+    r0, t0 = conditioned_start(cfg, x0, sphere=False)
 
     def start(width):
         return {"r": np.full(width, r0), "t": np.full(width, t0)}

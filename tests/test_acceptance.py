@@ -170,19 +170,15 @@ def test_criterion_07_absorption_time_law():
 def test_criterion_08_semigroup_identities():
     t0 = time.perf_counter()
     cfg = SimConfig(n=1, step=1e-3, horizon=1.0, paths=20_000, seed=1)
+    # one conditioned and one free run per side, each recorded at both times
+    results = [("sphere", out) for out in doob_semigroup_check(sphere_basket(), (0.0, 0.0), (0.25, 0.5), cfg)]
+    results += [("heis", out) for out in doob_semigroup_check_N(heis_basket(), (1.0, 0.0), (0.25, 0.5), cfg)]
+    assert len(results) == 24
     worst = ("", 0.0, 1.0)
-    for f in sphere_basket():
-        for t in (0.25, 0.5):
-            out = doob_semigroup_check(f, (0.0, 0.0), t, cfg)
-            assert out["pass"], (f.name, t, out["gap"], out["tol"])
-            if out["gap"] / out["tol"] > worst[1] / worst[2]:
-                worst = (f"sphere:{f.name}@{t}", out["gap"], out["tol"])
-    for F in heis_basket():
-        for t in (0.25, 0.5):
-            out = doob_semigroup_check_N(F, (1.0, 0.0), t, cfg)
-            assert out["pass"], (F.name, t, out["gap"], out["tol"])
-            if out["gap"] / out["tol"] > worst[1] / worst[2]:
-                worst = (f"heis:{F.name}@{t}", out["gap"], out["tol"])
+    for side, out in results:
+        assert out["pass"], (side, out["func"], out["t"], out["gap"], out["tol"])
+        if out["gap"] / out["tol"] > worst[1] / worst[2]:
+            worst = (f"{side}:{out['func']}@{out['t']}", out["gap"], out["tol"])
     elapsed = time.perf_counter() - t0
     assert elapsed < 180.0
     print(

@@ -303,7 +303,8 @@ def test_martingale_residual_heis_quadratic():
 def test_semigroup_sphere_small(idx):
     cfg = small_cfg(paths=4096, step=2e-3)
     f = sphere_basket()[idx]
-    out = doob_semigroup_check(f, (0.0, 0.0), 0.25, cfg)
+    (out,) = doob_semigroup_check([f], (0.0, 0.0), (0.25,), cfg)
+    assert (out["func"], out["t"]) == (f.name, 0.25)
     assert out["pass"], (f.name, out["gap"], out["tol"])
 
 
@@ -313,8 +314,27 @@ def test_semigroup_gauge_side_small():
 
     cfg = small_cfg(paths=4096, step=2e-3)
     F = Fn("expN", lambda u, v: exp_jet(gauge_jet(u, v), -1.0))
-    out = doob_semigroup_check_N(F, (1.0, 0.0), 0.5, cfg)
+    (out,) = doob_semigroup_check_N([F], (1.0, 0.0), (0.5,), cfg)
     assert out["pass"], (out["gap"], out["tol"])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("side", ["sphere", "heis"])
+def test_semigroup_batch_equals_single_checks_bitwise(side, n):
+    # each process runs once, to the last time, recording at both times; the
+    # times come unsorted, so a result read from the wrong record slot, or
+    # with the eigenfactor or weight of another time, differs from a run to
+    # its own time.  repr tells apart every float bit pattern but NaN's.
+    check, basket, x = {
+        "sphere": (doob_semigroup_check, sphere_basket(), (0.3, 1.0)),
+        "heis": (doob_semigroup_check_N, heis_basket(), (0.8, 0.5)),
+    }[side]
+    cfg = small_cfg(n=n, paths=512, step=5e-3)
+    ts = (0.5, 0.25)
+    batch = check(basket, x, ts, cfg)
+    assert [(out["func"], out["t"]) for out in batch] == [(f.name, t) for f in basket for t in ts]
+    singles = [check([f], x, (t,), cfg) for f in basket for t in ts]
+    assert [repr(out) for out in batch] == [repr(out) for (out,) in singles]
 
 
 # ---------------------------------------------------------------------------

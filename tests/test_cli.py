@@ -183,6 +183,31 @@ def test_time_off_the_step_grid_names_its_key_and_step(tmp_path, capsys, monkeyp
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "bad, named",
+    [
+        (["xn_r=0"], "xn_r, xn_t = (0.0, 0.0) lies inside the absorption region"),
+        (["x0_r=0", "x0_t=3.14159"], "x0_r, x0_t = (0.0, 3.14159) lies inside the absorption region"),
+        (["xn_r=-1"], "xn_r, xn_t radial coordinate must be nonnegative"),
+        (["x0_r=2"], "x0_r, x0_t radial coordinate must lie in [0, pi/2)"),
+    ],
+)
+def test_semigroup_start_names_its_keys_before_either_side_runs(tmp_path, capsys, monkeypatch, bad, named):
+    # a bad group-side start fails before the sphere side runs, and the
+    # message names the keys of the start, not a simulator's argument
+    from heisenpaths import analysis
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a simulator ran")
+
+    for name in ("sim_radial_h", "sim_radial_s", "sim_hproc", "sim_Nproc"):
+        monkeypatch.setattr(analysis, name, no_run)
+    out = tmp_path / "s"
+    assert main(["experiment", "semigroup", "paths=200", "step=5e-3", *bad, "--out", str(out)]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_experiment_horizon_is_not_checked_against_step(tmp_path):
     # each experiment run sets its own horizon, so a step that does not
     # divide the old default horizon of 1 is no config error
@@ -695,6 +720,29 @@ def test_semigroup_csv(tmp_path):
     assert header[:3] == ["side", "func", "t"]
     sides = {r[0] for r in rows}
     assert sides == {"sphere", "heis"}
+
+
+def test_semigroup_runs_one_conditioned_and_one_free_process_per_side(tmp_path, monkeypatch):
+    # every function and time of a side is read from one pair of runs, each
+    # recorded at every time of that side
+    from heisenpaths import analysis
+
+    calls = []
+    for name in ("sim_radial_h", "sim_radial_s", "sim_hproc", "sim_Nproc"):
+
+        def counted(*args, _name=name, _sim=getattr(analysis, name), **kwargs):
+            calls.append((_name, tuple(kwargs["record_times"])))
+            return _sim(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, name, counted)
+    argv = ["experiment", "semigroup", "paths=200", "step=5e-3", "t_grid=0.5,0.25", "tn=0.25"]
+    assert main(argv + ["--out", str(tmp_path / "sg")]) in (0, 1)
+    assert sorted(calls) == [
+        ("sim_Nproc", (0.25,)),
+        ("sim_hproc", (0.5, 0.25)),
+        ("sim_radial_h", (0.25,)),
+        ("sim_radial_s", (0.5, 0.25)),
+    ]
 
 
 # a cheap run of every command
