@@ -15,6 +15,7 @@ if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .analysis import (
+    CheckRecord,
     MCEstimate,
     SurvivalCurve,
     doob_semigroup_check,
@@ -74,6 +75,6 @@ from .sde import (
     sim_radial_h,
     sim_radial_s,
 )
-from .verify import CheckRecord, verify_geometry, verify_operators
+from .verify import verify_geometry, verify_operators
 
 __version__ = "0.4.0"

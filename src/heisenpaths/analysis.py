@@ -17,6 +17,12 @@ estimator caps the weight at its absorption-boundary value and reports the
 capped mass; the two-sided semigroup comparison multiplies the observable by
 a smoothstep that vanishes where the conditioning factor is below 0.1 and is
 1 above 0.2, applied identically to both estimates.
+
+Gates: each experiment returns its checks (``CheckRecord``), named as the
+manifest names them, and no other module sets a bound.  A KS distance is at
+most its 1% critical value plus ``SLACK``; a drop or semigroup gap at most
+three standard errors plus ``SLACK``; the negative control's separation at
+least 0.1; the ``tdist`` sup gap at most 0.03, and ``|S(0) - 1|`` is 0.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ from .rng import PURPOSE_COMPARE, PURPOSE_MAIN
 from .sde import SimConfig, grid_steps, sim_hproc, sim_Nproc, sim_radial_h, sim_radial_s
 
 __all__ = [
+    "SLACK",
+    "CheckRecord",
     "MCEstimate",
     "SurvivalCurve",
     "green_constant",
@@ -54,6 +62,26 @@ __all__ = [
 ]
 
 
+# added to every KS and standard-error bound: room for the step bias of the
+# Euler schemes, which no standard error measures
+SLACK = 0.02
+
+
+@dataclass(frozen=True)
+class CheckRecord:
+    """One named check: ``value`` against ``tolerance``, an upper bound
+    (``kind="le"``) or a threshold it must reach (``"ge"``)."""
+
+    name: str
+    value: float
+    tolerance: float
+    kind: str = "le"
+
+    @property
+    def passed(self) -> bool:
+        return self.value <= self.tolerance if self.kind == "le" else self.value >= self.tolerance
+
+
 @dataclass(frozen=True)
 class MCEstimate:
     """A Monte Carlo mean with its standard error and sample size."""
@@ -61,10 +89,6 @@ class MCEstimate:
     value: float
     std_error: float
     paths: int
-
-    def agrees(self, other: "MCEstimate", slack: float = 0.0, sigmas: float = 3.0) -> bool:
-        tol = sigmas * np.hypot(self.std_error, other.std_error) + slack
-        return abs(self.value - other.value) <= tol
 
 
 @dataclass(frozen=True)
@@ -97,6 +121,11 @@ def _mean_se(samples: np.ndarray) -> MCEstimate:
     P = samples.size
     se = float(samples.std(ddof=1) / np.sqrt(P)) if P > 1 else np.inf
     return MCEstimate(float(samples.mean()), se, P)
+
+
+def _se_bound(se: float) -> float:
+    """Bound on a gap between two estimates whose difference has standard error ``se``."""
+    return 3.0 * se + SLACK
 
 
 # ---------------------------------------------------------------------------
@@ -196,22 +225,21 @@ def tdist_experiment(
 ) -> dict:
     """Law of the absorption time of the conditioned sphere process versus
     the survival curve: at each grid time compares the absorption ECDF with
-    ``1 - S(t)``.  Returns the curve, the ECDF, and the sup gap over the
-    positive grid times."""
+    ``1 - S(t)``.  Returns the curve, the ECDF, their gap at each grid time
+    (0 at ``t = 0``), its sup and the checks."""
     ts = np.asarray(sorted(float(t) for t in ts), dtype=float)
     curve = survival_T(x0, ts, cfg, purpose=PURPOSE_COMPARE)
     run = replace(cfg, horizon=float(ts[-1]))
     ens = sim_hproc(run, x0=x0, record_times=(), purpose=PURPOSE_MAIN)
     ecdf = np.array([np.mean(ens.death_time <= t) for t in ts])
-    pos = ts > 0
-    gap = float(np.max(np.abs(ecdf[pos] - (1.0 - curve.s_hat[pos])))) if np.any(pos) else 0.0
-    return {
-        "ts": ts,
-        "curve": curve,
-        "ecdf": ecdf,
-        "sup_gap": gap,
-        "paths": ens.paths,
-    }
+    gap = np.where(ts > 0, np.abs(ecdf - (1.0 - curve.s_hat)), 0.0)
+    s0 = curve.s_hat[ts == 0.0]
+    checks = [
+        CheckRecord("tdist_sup_gap", float(gap.max()), 0.03),
+        CheckRecord("tdist_s0_exact", abs(float(s0[0]) - 1.0) if s0.size else 0.0, 0.0),
+    ]
+    return {"ts": ts, "curve": curve, "ecdf": ecdf, "gap": gap, "sup_gap": checks[0].value, "paths": ens.paths,
+            "checks": checks}
 
 
 # ---------------------------------------------------------------------------
@@ -223,13 +251,14 @@ def _smoothstep(v, lo: float = 0.1, hi: float = 0.2):
     return s * s * (3.0 - 2.0 * s)
 
 
-def _doob_check(fs, x, ts, cfg, sim_cond, sim_free, weight, coord: str, decays: bool) -> list[dict]:
+def _doob_check(fs, x, ts, cfg, sim_cond, sim_free, weight, coord: str, decays: bool, tag: str) -> list[dict]:
     """Body of both semigroup checks: ``sim_cond`` is the conditioned
     process, ``sim_free`` the free one, ``weight`` the conditioning factor
     (``w = weight^(-n/2)``, and the cutoff smoothstep is taken in it),
     ``coord`` the second state coordinate and ``decays`` whether ``w``
     carries the survival eigenfactor.  Each process runs once and records,
-    at every time, what a run to that time ends with."""
+    at every time, what a run to that time ends with.  Each result's
+    ``check`` is named ``<tag>_<f>_t<t>``, ``t`` printed as ``%.17g``."""
     n = cfg.n
     run = replace(cfg, horizon=float(max(ts)))
     cond = sim_cond(run, x0=x, record_times=ts, purpose=PURPOSE_MAIN)
@@ -249,9 +278,10 @@ def _doob_check(fs, x, ts, cfg, sim_cond, sim_free, weight, coord: str, decays: 
         est2 = _mean_se(fac * w * obs(f, r, v) / w0)
         gap = abs(est1.value - est2.value)
         se = float(np.hypot(est1.std_error, est2.std_error))
-        tol = 3.0 * se + 0.02
+        tol = _se_bound(se)
+        name = f"{tag}_{f.name}_t{'%.17g' % float(t)}"
         return {"func": f.name, "t": t, "conditioned": est1, "weighted": est2, "gap": gap, "se": se,
-                "tol": tol, "pass": gap <= tol}
+                "tol": tol, "check": CheckRecord(name, gap, tol)}
 
     return [check(f, t) for f in fs for t in ts]
 
@@ -276,7 +306,7 @@ def doob_semigroup_check(
     estimates, so they target the same functional.  Returns one result
     per function and time, ``fs`` outermost, from one run of each process.
     """
-    return _doob_check(fs, x, ts, cfg, sim_hproc, sim_radial_s, h_fun, "th", decays=True)
+    return _doob_check(fs, x, ts, cfg, sim_hproc, sim_radial_s, h_fun, "th", decays=True, tag="semigroup")
 
 
 def doob_semigroup_check_N(
@@ -289,7 +319,7 @@ def doob_semigroup_check_N(
     Heisenberg process against the ``N^(-n/2)``-weighted free motion.  The
     weight is harmonic (no eigenfactor: ``1.0 * w`` is ``w`` bit for bit);
     the cutoff smoothstep is taken in the gauge."""
-    return _doob_check(Fs, x, ts, cfg, sim_Nproc, sim_radial_h, koranyi_N, "t", decays=False)
+    return _doob_check(Fs, x, ts, cfg, sim_Nproc, sim_radial_h, koranyi_N, "t", decays=False, tag="semigroup_N")
 
 
 # ---------------------------------------------------------------------------
@@ -441,15 +471,13 @@ def _marginal_stats(samA: dict, samB: dict, names, alpha: float = 0.01) -> dict:
 
 
 def _drop_stats(dropA: float, dropB: float, P: int) -> dict:
-    se = float(
-        np.sqrt(dropA * (1 - dropA) / P + dropB * (1 - dropB) / P)
-    )
+    se = float(np.sqrt(dropA * (1 - dropA) / P + dropB * (1 - dropB) / P))
     return {
         "dropA": dropA,
         "dropB": dropB,
         "drop_gap": abs(dropA - dropB),
         "drop_se": se,
-        "drop_tol": 3.0 * se + 0.02,
+        "drop_tol": _se_bound(se),
     }
 
 
@@ -463,9 +491,15 @@ def _pushforward(x0, u_grid, cfg, horizon_a, clock: str, sim_b, chart, gauge, co
     absorption region, fails before route A steps a path.  The two routes
     draw from their own streams, so their order changes no output.  Route
     B records at the levels and runs to the highest, so the levels must be
-    distinct positive whole numbers of steps."""
+    distinct positive whole numbers of steps.  Level ``j`` holds its
+    ``law`` checks, ``<clock>_u<j>_ks_<m>`` and ``_drop_gap``, by
+    statistic; ``checks`` lists them all."""
     grid_steps("u_grid level", u_grid, cfg.step)
     u_grid = sorted(float(u) for u in u_grid)
+    try:
+        runA = replace(cfg, horizon=float(horizon_a))
+    except ValueError as e:
+        raise ValueError(f"horizon_a={horizon_a!r} does not suit step={cfg.step!r}: {e}") from e
     with np.errstate(all="ignore"):
         y0 = tuple(float(v) for v in chart(*x0))
     if not np.all(np.isfinite(y0)):
@@ -478,10 +512,9 @@ def _pushforward(x0, u_grid, cfg, horizon_a, clock: str, sim_b, chart, gauge, co
             f"{chart.__name__} maps the start point ({x0[0]!r}, {x0[1]!r}) to ({y0[0]!r}, {y0[1]!r}),"
             f" and route B fails there: {e}"
         ) from e
-    runA = replace(cfg, horizon=float(horizon_a))
     ensA = sim_radial_h(runA, x0=x0, clock=clock, levels=u_grid, purpose=PURPOSE_MAIN)
 
-    out: dict = {"u_grid": u_grid, "paths": ensA.paths}
+    out: dict = {"u_grid": u_grid, "paths": ensA.paths, "checks": []}
     for j, u in enumerate(u_grid):
         cross = ensA.crossings[u]
         hitA = cross["hit"]
@@ -494,6 +527,10 @@ def _pushforward(x0, u_grid, cfg, horizon_a, clock: str, sim_b, chart, gauge, co
         rec.update(
             _drop_stats(1.0 - float(np.mean(hitA)), 1.0 - float(np.mean(aliveB)), ensA.paths)
         )
+        bounds = {f"ks_{name}": rec[f"crit_{name}"] + SLACK for name in samA}
+        bounds["drop_gap"] = rec["drop_tol"]
+        rec["law"] = {key: CheckRecord(f"{clock}_u{j}_{key}", rec[key], tol) for key, tol in bounds.items()}
+        out["checks"] += rec["law"].values()
         rec["samples"] = {"A": samA, "B": samB}
         out[u] = rec
     return out
@@ -534,13 +571,19 @@ def pushforward_experiment_kelvin(
     from the inverted start for intrinsic time ``u``.  With
     ``orientation="image"`` the clock integrates the reciprocal gauge (the
     correct pairing); ``"preimage"`` integrates the gauge itself — the
-    negative control whose law comparison is expected to fail.
+    negative control whose law comparison is expected to fail: its checks
+    are each level's radial KS separation, and its laws stay in ``law``.
     """
     if orientation not in ("image", "preimage"):
         raise ValueError(f"unknown orientation {orientation!r}")
     out = _pushforward(
         x0, u_grid, cfg, horizon_a, f"kelvin_{orientation}", sim_Nproc, kelvin_radial, koranyi_N, "t"
     )
+    if orientation == "preimage":
+        out["checks"] = [
+            CheckRecord(f"kelvin_preimage_u{j}_separation", out[u]["ks_r"], 0.1, kind="ge")
+            for j, u in enumerate(out["u_grid"])
+        ]
     return {"orientation": orientation, **out}
 
 

@@ -9,11 +9,10 @@ than silently shrinking its domain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import analysis, geometry, operators
+from .analysis import CheckRecord
 from .numdiff import scalar_jet, unwrap_angle
 from .rng import PURPOSE_AUX, stream
 
@@ -22,26 +21,6 @@ __all__ = ["CheckRecord", "verify_geometry", "verify_operators"]
 # pole-band cut: sphere grid cells with the conformal factor below this are
 # skipped by the residual suites (the identities hold but lose digits there)
 H_MIN = 0.05
-
-
-@dataclass(frozen=True)
-class CheckRecord:
-    """One named check: ``value`` compared against ``tolerance``.
-
-    ``kind`` is ``"le"`` for error bounds and ``"ge"`` for quantities that
-    must exceed a threshold.
-    """
-
-    name: str
-    value: float
-    tolerance: float
-    kind: str = "le"
-
-    @property
-    def passed(self) -> bool:
-        if self.kind == "le":
-            return self.value <= self.tolerance
-        return self.value >= self.tolerance
 
 
 def _le(name, value, tol) -> CheckRecord:

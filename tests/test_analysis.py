@@ -6,6 +6,7 @@ import pytest
 
 from heisenpaths import analysis
 from heisenpaths.analysis import (
+    CheckRecord,
     MCEstimate,
     _kolmogi,
     _kolmogorov,
@@ -190,13 +191,6 @@ def test_kolmogi_upper_half_matches_scipy_bitwise():
     assert same_bits([_kolmogi(float(a)) for a in alphas], special.kolmogi(alphas))
 
 
-def test_mcestimate_agrees():
-    a = MCEstimate(1.0, 0.01, 100)
-    b = MCEstimate(1.02, 0.01, 100)
-    assert a.agrees(b) and b.agrees(a)
-    assert not a.agrees(MCEstimate(2.0, 0.01, 100))
-
-
 # ---------------------------------------------------------------------------
 # survival
 
@@ -251,6 +245,9 @@ def test_tdist_small():
     rep = tdist_experiment((0.0, 0.5, 1.0), cfg)
     assert rep["sup_gap"] < 0.05
     assert rep["ecdf"][0] == 0.0
+    # the gap is taken at the positive times only, and its sup is the check's value
+    assert rep["gap"][0] == 0.0 and rep["sup_gap"] == max(rep["gap"])
+    assert [(c.name, c.value) for c in rep["checks"]] == [("tdist_sup_gap", rep["sup_gap"]), ("tdist_s0_exact", 0.0)]
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +302,8 @@ def test_semigroup_sphere_small(idx):
     f = sphere_basket()[idx]
     (out,) = doob_semigroup_check([f], (0.0, 0.0), (0.25,), cfg)
     assert (out["func"], out["t"]) == (f.name, 0.25)
-    assert out["pass"], (f.name, out["gap"], out["tol"])
+    assert out["check"] == CheckRecord(f"semigroup_{f.name}_t0.25", out["gap"], out["tol"])
+    assert out["check"].passed, out["check"]
 
 
 def test_semigroup_gauge_side_small():
@@ -315,7 +313,8 @@ def test_semigroup_gauge_side_small():
     cfg = small_cfg(paths=4096, step=2e-3)
     F = Fn("expN", lambda u, v: exp_jet(gauge_jet(u, v), -1.0))
     (out,) = doob_semigroup_check_N([F], (1.0, 0.0), (0.5,), cfg)
-    assert out["pass"], (out["gap"], out["tol"])
+    assert out["check"] == CheckRecord("semigroup_N_expN_t0.5", out["gap"], out["tol"])
+    assert out["check"].passed, out["check"]
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -346,10 +345,8 @@ def test_cayley_pushforward_small():
 
     cfg = small_cfg(paths=3000, step=2e-3, horizon=1.0)
     rep = pushforward_experiment_cayley((0.0, 0.0), (0.3,), cfg, horizon_a=25.0)
-    rec = rep[0.3]
-    for name in ("r", "th", "gauge"):
-        assert rec[f"ks_{name}"] <= rec[f"crit_{name}"] + 0.02
-    assert rec["drop_gap"] <= rec["drop_tol"]
+    assert [c.name for c in rep["checks"]] == [f"cayley_u0_{s}" for s in ("ks_r", "ks_th", "ks_gauge", "drop_gap")]
+    assert [c for c in rep["checks"] if not c.passed] == []
     # the chart image of the start shows up as the u -> 0 concentration point
     q0 = cayley1_chart(0.0, 0.0)
     assert q0[0] == 0.0
@@ -360,9 +357,13 @@ def test_kelvin_pushforward_orientations_small():
 
     cfg = small_cfg(paths=3000, step=2e-3, horizon=1.0)
     img = pushforward_experiment_kelvin((1.0, 0.0), (0.2,), cfg, orientation="image", horizon_a=25.0)
-    assert img[0.2]["ks_r"] <= img[0.2]["crit_r"] + 0.02
     pre = pushforward_experiment_kelvin((1.0, 0.0), (0.2,), cfg, orientation="preimage", horizon_a=25.0)
-    assert pre[0.2]["ks_r"] > 0.1  # wrong clock: the laws must split
+    # wrong clock: the laws must split, so the preimage checks their separation
+    assert [c.name for c in img["checks"] + pre["checks"]] == [
+        *(f"kelvin_image_u0_{s}" for s in ("ks_r", "ks_t", "ks_gauge", "drop_gap")),
+        "kelvin_preimage_u0_separation",
+    ]
+    assert [c for c in img["checks"] + pre["checks"] if not c.passed] == []
 
 
 # ---------------------------------------------------------------------------

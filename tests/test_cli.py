@@ -156,6 +156,35 @@ def test_level_off_the_step_grid_names_u_grid_and_step(tmp_path, capsys, monkeyp
 
 
 @pytest.mark.parametrize(
+    "target, horizon_a, named",
+    [
+        ("cayley", "1.001", "horizon is not a whole number of steps"),
+        ("cayley", "0.001", "horizon shorter than one step"),
+        ("kelvin", "100000", "more than 1e7 steps requested"),
+    ],
+)
+def test_route_a_horizon_off_the_step_grid_names_horizon_a_and_step(
+    tmp_path, capsys, monkeypatch, target, horizon_a, named
+):
+    # route A runs to horizon_a: its run is configured before route B runs,
+    # so a horizon_a that does not suit step fails, by name, before either
+    # route steps a path
+    from heisenpaths import analysis
+
+    def no_route(*args, **kwargs):
+        raise AssertionError("a route was simulated")
+
+    for name in ("sim_radial_h", "sim_hproc", "sim_Nproc"):
+        monkeypatch.setattr(analysis, name, no_route)
+    out = tmp_path / target
+    argv = ["experiment", target, "paths=200", "step=2e-3", f"horizon_a={horizon_a}", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"horizon_a={float(horizon_a)!r}" in err and "step=0.002" in err and named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "target, bad, named",
     [
         ("tdist", "ts=0.0005", "ts time 0.0005"),
@@ -759,6 +788,34 @@ SMALL_RUNS = {
     ("simulate", "hproc"): ["paths=4", "horizon=0.01", "step=5e-3"],
     ("simulate", "nproc"): ["paths=4", "horizon=0.01", "step=5e-3"],
 }
+
+
+@pytest.mark.parametrize("target", ["cayley", "kelvin", "tdist", "semigroup"])
+def test_experiment_manifest_checks_are_the_library_checks(target, tmp_path, monkeypatch):
+    # the runner adds, drops and changes no check and sets no bound: the
+    # manifest's test.* keys are exactly the checks the analysis functions
+    # returned in the same run
+    from heisenpaths import cli
+
+    returned = []
+    for name in ("pushforward_experiment_cayley", "pushforward_experiment_kelvin", "tdist_experiment",
+                 "doob_semigroup_check", "doob_semigroup_check_N"):
+
+        def spy(*args, _fn=getattr(cli, name), **kwargs):
+            rep = _fn(*args, **kwargs)
+            returned.extend(rep["checks"] if isinstance(rep, dict) else [res["check"] for res in rep])
+            return rep
+
+        monkeypatch.setattr(cli, name, spy)
+    out = tmp_path / target
+    assert main(["experiment", target, *SMALL_RUNS["experiment", target], "--out", str(out)]) in (0, 1)
+    expected = {}
+    for c in returned:
+        fields = {"value": _fmt(c.value), "tolerance": _fmt(c.tolerance), "op": c.kind, "pass": _fmt(c.passed)}
+        expected.update({f"test.{c.name}.{key}": value for key, value in fields.items()})
+    man = read_manifest(out / "manifest.txt")
+    assert returned and len(expected) == 4 * len(returned)
+    assert {k: v for k, v in man.items() if k.startswith("test.")} == expected
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS), ids="-".join)
