@@ -28,7 +28,7 @@ least 0.1; the ``tdist`` sup gap at most 0.03, and ``|S(0) - 1|`` is 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from math import exp, isnan, log, nan, pi, sqrt
+from math import exp, pi, sqrt
 from math import gamma as gamma_fn
 from typing import Sequence
 
@@ -185,7 +185,6 @@ def survival_T(
     x0: tuple[float, float],
     ts: Sequence[float],
     cfg: SimConfig,
-    purpose: int = PURPOSE_COMPARE,
 ) -> SurvivalCurve:
     """Survival function of the conditioned sphere process started at ``x0``,
     estimated from the *unconditioned* sphere motion:
@@ -195,7 +194,8 @@ def survival_T(
     with the weight capped at its absorption-boundary value
     ``absorb_floor_h^(-n/2)`` (the capped fraction is reported).  ``S(0)`` is
     1 by definition.  The times ``ts`` are distinct nonnegative whole
-    numbers of steps, at least one of them positive.
+    numbers of steps, at least one of them positive.  The sphere motion
+    draws from the ``PURPOSE_COMPARE`` streams.
     """
     ks = grid_steps("ts time", ts, cfg.step, positive=False)
     if not ks or ks[-1] == 0:
@@ -203,7 +203,7 @@ def survival_T(
     ts = np.asarray(sorted(float(t) for t in ts), dtype=float)
     n = cfg.n
     run = replace(cfg, horizon=float(ts[-1]))
-    ens = sim_radial_s(run, x0=x0, record_times=ts, purpose=purpose)
+    ens = sim_radial_s(run, x0=x0, record_times=ts, purpose=PURPOSE_COMPARE)
     w0 = h_fun(*x0) ** (-0.5 * n)
     cap = run.absorb_floor_h ** (-0.5 * n)
     h_vals = h_fun(ens.states["r"], ens.states["th"])
@@ -228,7 +228,7 @@ def tdist_experiment(
     ``1 - S(t)``.  Returns the curve, the ECDF, their gap at each grid time
     (0 at ``t = 0``), its sup and the checks."""
     ts = np.asarray(sorted(float(t) for t in ts), dtype=float)
-    curve = survival_T(x0, ts, cfg, purpose=PURPOSE_COMPARE)
+    curve = survival_T(x0, ts, cfg)
     run = replace(cfg, horizon=float(ts[-1]))
     ens = sim_hproc(run, x0=x0, record_times=(), purpose=PURPOSE_MAIN)
     ecdf = np.array([np.mean(ens.death_time <= t) for t in ts])
@@ -326,107 +326,41 @@ def doob_semigroup_check_N(
 # two-sample distribution distance
 #
 # The scaled two-sample KS statistic is asymptotically Kolmogorov
-# distributed.  ``_kolmogorov`` and ``_kolmogi`` evaluate that law and its
-# inverse in double precision with the operations, constants and stopping
-# rule of the Cephes-derived ``kolmogorov``/``kolmogi`` of ``scipy.special``,
-# so p-values and critical values equal scipy's bit for bit.
+# distributed.  ``_kolmogorov`` evaluates that law's tail in double
+# precision with the operations and constants of the Cephes-derived
+# ``kolmogorov`` of ``scipy.special``, so p-values equal scipy's bit for
+# bit.  Every gate takes the 1% critical value, so its quantile is a
+# constant: ``KOLMOGI_1PCT`` is ``scipy.special.kolmogi(0.01)``, the
+# smallest double whose tail is below 0.01.
 
-_EPS = 2.0**-52
+KOLMOGI_1PCT = 1.6276236115189504
 # at or below ~0.0407 the cdf's leading term exp(-pi^2 / (8 x^2)) is below
-# exp(-746), where exp() underflows to 0
+# exp(-746), where exp() underflows to 0 and the tail is 1; the cut also
+# keeps x <= 0 and an x whose square is 0 out of the theta form's division
 _CDF_UNDERFLOW = pi / sqrt(8 * 746.0)
-# log(sqrt(2 pi)) one ulp below the nearest double, as scipy has it
-_LOG_SQRT_2PI = log(2.0 * pi) / 2
 
 
-def _kolmogorov(x: float) -> tuple[float, float, float]:
-    """``(sf, cdf, pdf)`` of the Kolmogorov distribution at ``x``.
+def _kolmogorov(x: float) -> float:
+    """Survival function of the Kolmogorov distribution at ``x``.
 
-    Up to 0.82 the theta form ``cdf = sqrt(2 pi)/x sum_k u^((2k-1)^2)``,
-    ``u = exp(-pi^2 / (8 x^2))``, is summed to its fourth term; above it the
-    alternating series ``sf = 2 sum_k (-1)^(k-1) v^(k^2)``,
-    ``v = exp(-2 x^2)``, is summed to its fourth; the pdf's sums stop one
-    term earlier.
+    Up to 0.82 it is one minus the theta form
+    ``cdf = sqrt(2 pi)/x sum_k u^((2k-1)^2)``, ``u = exp(-pi^2 / (8 x^2))``,
+    summed to its fourth term; above it the alternating series
+    ``sf = 2 sum_k (-1)^(k-1) v^(k^2)``, ``v = exp(-2 x^2)``, summed to its
+    fourth.
     """
-    if isnan(x):
-        return nan, nan, nan
     if x <= _CDF_UNDERFLOW:  # every x <= 0 too
-        return 1.0, 0.0, 0.0
+        return 1.0
     if x <= 0.82:
         w = sqrt(2.0 * pi) / x
         logu8 = -pi * pi / (x * x)
         u = exp(logu8 / 8)
-        if u == 0.0:
-            cdf, pdf = exp(logu8 / 8 + log(w)), 0.0
-        else:
-            u8 = exp(logu8)
-            s = 1 + u8 * (1 + u8 * u8 * (1 + u8**3))
-            ds = 1 + u8 * (9 + u8 * u8 * 25)
-            cdf = w * u * s
-            pdf = (pi * pi / 4 / (x * x) * ds - s) * (w * u / x)
-        sf = 1 - cdf
-    else:
-        v = exp(-2 * x * x)
-        v3 = v**3
-        v5 = v3 * (v * v)
-        sf = 2 * v * (1 - v3 * (1 - v5 * (1 - v3 * v3 * v)))
-        pdf = 8 * v * x * (1 - v3 * (4 - v5 * 9))
-        cdf = 1 - sf
-    return min(max(sf, 0.0), 1.0), min(max(cdf, 0.0), 1.0), max(0.0, pdf)
-
-
-def _kolmogi(p: float) -> float:
-    """The ``x`` with Kolmogorov survival function ``p``, for ``0 < p < 1``.
-
-    A bracket from the small-cdf or small-sf asymptotics, then Newton steps
-    on the smaller of the two tails, bisecting whenever a step leaves the
-    bracket, until a step is within ``eps + 2 eps |x|``.
-    """
-    psf, pcdf = p, 1 - p
-    if pcdf <= 0.5:
-        # cdf ~ sqrt(2 pi)/x exp(-pi^2/(8 x^2)): two fixed-point passes from
-        # each side of x = pi / sqrt(8 (log sqrt(2 pi) - log x - log cdf))
-        lp = log(pcdf)
-
-        def fixed_point(log_x):
-            return pi / (sqrt(8.0) * sqrt(-(lp + log_x - _LOG_SQRT_2PI)))
-
-        a, b = fixed_point(lp / 2), fixed_point(0.0)
-        a, b = fixed_point(log(a)), fixed_point(log(b))
-        x = (a + b) / 2
-    else:
-        # sf ~ 2 exp(-2 x^2); the start inverts q - q^4 + q^9 - ... = sf/2
-        a = sqrt(-0.5 * log(psf / (1.0 - exp(-4.0)) / 2))
-        b = sqrt(-0.5 * log(psf * (1 - 256 * _EPS) / 2))
-        q = psf / 2
-        q2, q3 = q * q, q * q * q
-        q0 = q * (1 + q3 * (1 + q3 * (4 + q2 * (-1 + q * (22 + q2 * (-13 + 140 * q))))))
-        x = sqrt(-log(q0) / 2)
-        if x < a or x > b:
-            x = (a + b) / 2
-    for _ in range(501):  # scipy's cap; Newton is done in under ten steps
-        x0 = x
-        sf, cdf, pdf = _kolmogorov(x0)
-        df = pcdf - cdf if pcdf < 0.5 else sf - psf
-        if df == 0:
-            break
-        if df > 0 and x > a:
-            a = x
-        elif df < 0 and x < b:
-            b = x
-        x = (a + b) / 2 if pdf == 0 else x0 + df / pdf
-        if a <= x <= b:
-            if abs(x - x0) <= _EPS + 2 * _EPS * abs(x0):
-                break
-            if x == a or x == b:
-                x = (a + b) / 2
-                if x == a or x == b:
-                    break
-        else:
-            x = (a + b) / 2
-            if abs(x - x0) <= _EPS + 2 * _EPS * abs(x0):
-                break
-    return x
+        u8 = exp(logu8)
+        return 1 - w * u * (1 + u8 * (1 + u8 * u8 * (1 + u8**3)))
+    v = exp(-2 * x * x)
+    v3 = v**3
+    v5 = v3 * (v * v)
+    return 2 * v * (1 - v3 * (1 - v5 * (1 - v3 * v3 * v)))
 
 
 def ks_two_sample(a, b) -> tuple[float, float]:
@@ -443,30 +377,28 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     fb = np.searchsorted(b, allv, side="right") / k
     stat = float(np.max(np.abs(fa - fb)))
     en = np.sqrt(m * k / (m + k))
-    return stat, _kolmogorov(float(en * stat))[0]
+    return stat, _kolmogorov(float(en * stat))
 
 
-def ks_critical(alpha: float, m: int, k: int) -> float:
-    """Two-sample KS acceptance threshold at level ``alpha``."""
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie in (0, 1)")
+def ks_critical(m: int, k: int) -> float:
+    """Two-sample KS acceptance threshold at the 1% level."""
     if m < 1 or k < 1:
         raise ValueError("sample sizes must be positive")
-    return float(_kolmogi(alpha) * np.sqrt((m + k) / (m * k)))
+    return float(KOLMOGI_1PCT * np.sqrt((m + k) / (m * k)))
 
 
 # ---------------------------------------------------------------------------
 # law-transport experiments
 
 
-def _marginal_stats(samA: dict, samB: dict, names, alpha: float = 0.01) -> dict:
+def _marginal_stats(samA: dict, samB: dict, names) -> dict:
     out = {}
     for name in names:
         a, b = samA[name], samB[name]
         stat, pvalue = ks_two_sample(a, b)
         out[f"ks_{name}"] = stat
         out[f"p_{name}"] = pvalue
-        out[f"crit_{name}"] = ks_critical(alpha, a.size, b.size)
+        out[f"crit_{name}"] = ks_critical(a.size, b.size)
     return out
 
 

@@ -330,9 +330,10 @@ def kelvin(p: HPoint) -> HPoint:
     with ``N = |z|^4 + 4 t^2``.  An involution fixing the unit gauge sphere,
     equal to ``cayley2_inv o cayley1_full`` pointwise.  The map is
     antiholomorphic in ``z``: dropping the conjugation (keeping ``z`` in the
-    numerator with a ``-2it`` denominator) breaks the involution property by
-    a phase, visibly so at any point with nonreal ``z`` — see the decision
-    ledger.
+    numerator with a ``-2it`` denominator) gives a map whose square turns
+    ``z`` by the phase of ``(|z|^2 + 2it) / (|z|^2 - 2it)``, so it is no
+    involution wherever ``t != 0`` —
+    ``tests/test_geometry.py::test_unconjugated_kelvin_is_not_an_involution``.
     """
     r2 = float(np.sum(np.abs(p.z) ** 2))
     N = r2**2 + 4.0 * p.t**2

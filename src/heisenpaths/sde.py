@@ -140,13 +140,9 @@ class SimConfig:
         for name in ("step", "horizon", "pole_eps", "r_floor", "tame"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if self.horizon < self.step:
-            raise ValueError("horizon shorter than one step")
-        k = round(self.horizon / self.step)
-        if abs(k * self.step - self.horizon) > 1e-6 * max(1.0, self.horizon):
-            raise ValueError("horizon is not a whole number of steps")
+        (k,) = grid_steps("horizon", (self.horizon,), self.step)
         if k > 10_000_000:
-            raise ValueError("more than 1e7 steps requested")
+            raise ValueError(f"more than 1e7 steps requested: horizon {self.horizon!r} at step={self.step!r}")
         if not (isinstance(self.paths, (int, np.integer)) and self.paths >= 1):
             raise ValueError(f"paths must be a positive integer, got {self.paths!r}")
         if not 0.0 < self.pole_eps <= 0.1:

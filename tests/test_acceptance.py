@@ -135,7 +135,7 @@ def test_criterion_05_sde_moments():
 
     rad = sim_radial_h(cfg, x0=(0.0, 0.0), record_times=(1.0,), purpose=PURPOSE_COMPARE)
     proj = project_radial(full)
-    crit = ks_critical(0.01, cfg.paths, cfg.paths)
+    crit = ks_critical(cfg.paths, cfg.paths)
     stats = {}
     for name in ("r", "t"):
         stat, _ = ks_two_sample(proj.states[name][-1], rad.states[name][-1])

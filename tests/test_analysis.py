@@ -7,8 +7,8 @@ import pytest
 from heisenpaths import analysis
 from heisenpaths.analysis import (
     CheckRecord,
+    KOLMOGI_1PCT,
     MCEstimate,
-    _kolmogi,
     _kolmogorov,
     _mean_se,
     doob_semigroup_check,
@@ -107,8 +107,7 @@ def test_ks_rejects_tiny_samples():
 
 
 def test_ks_critical_monotone():
-    assert ks_critical(0.01, 100, 100) > ks_critical(0.01, 10_000, 10_000)
-    assert ks_critical(0.05, 1000, 1000) < ks_critical(0.01, 1000, 1000)
+    assert ks_critical(100, 100) > ks_critical(10_000, 10_000)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -124,7 +123,7 @@ def test_ks_rejects_non_finite_samples(bad):
 @pytest.mark.parametrize("m, k", [(0, 10), (10, 0), (-3, 10)])
 def test_ks_critical_rejects_empty_samples(m, k):
     with pytest.raises(ValueError, match="positive"):
-        ks_critical(0.01, m, k)
+        ks_critical(m, k)
 
 
 # The Kolmogorov law is computed in-repo with the arithmetic of
@@ -157,38 +156,19 @@ def kolmogorov_grid() -> np.ndarray:
 def test_kolmogorov_sf_matches_scipy_bitwise():
     special = pytest.importorskip("scipy.special")
     xs = kolmogorov_grid()
-    sf = [_kolmogorov(float(x))[0] for x in xs]
+    sf = [_kolmogorov(float(x)) for x in xs]
     assert same_bits(sf, special.kolmogorov(xs))
 
 
-def test_kolmogorov_cdf_pdf_match_scipy_bitwise():
-    # the Newton steps of the inverse take cdf and pdf; scipy exposes them
-    # only as private ufuncs
-    ufuncs = pytest.importorskip("scipy.special._ufuncs")
-    if not hasattr(ufuncs, "_kolmogc") or not hasattr(ufuncs, "_kolmogp"):
-        pytest.skip("scipy has no _kolmogc/_kolmogp")
-    xs = kolmogorov_grid()
-    xs = xs[np.isfinite(xs)]
-    probs = np.array([_kolmogorov(float(x)) for x in xs])
-    assert same_bits(probs[:, 1], ufuncs._kolmogc(xs))
-    assert same_bits(probs[:, 2], -ufuncs._kolmogp(xs))
+def test_kolmogi_1pct_is_the_smallest_double_with_tail_below_one_percent():
+    assert _kolmogorov(np.nextafter(KOLMOGI_1PCT, 0)) > 0.01 >= _kolmogorov(KOLMOGI_1PCT)
 
 
-def test_kolmogi_and_ks_critical_match_scipy_bitwise():
+def test_ks_critical_matches_scipy_kolmogi_bitwise():
     special = pytest.importorskip("scipy.special")
-    alphas = np.concatenate([np.logspace(-12, np.log10(0.5), 4001)[1:-1], [0.01, 0.05]])
-    assert same_bits([_kolmogi(float(a)) for a in alphas], special.kolmogi(alphas))
+    assert same_bits(KOLMOGI_1PCT, special.kolmogi(0.01))
     for m, k in ((10, 10), (8192, 7000), (20_000, 13)):
-        crit = [ks_critical(float(a), m, k) for a in alphas]
-        assert same_bits(crit, special.kolmogi(alphas) * np.sqrt((m + k) / (m * k)))
-
-
-def test_kolmogi_upper_half_matches_scipy_bitwise():
-    # no caller takes alpha >= 0.5, but the small-cdf start runs there
-    special = pytest.importorskip("scipy.special")
-    rng = np.random.default_rng(5)
-    alphas = np.concatenate([[0.5], rng.uniform(0.5, 1.0, 5000), 1.0 - np.logspace(-15, np.log10(0.5), 400)])
-    assert same_bits([_kolmogi(float(a)) for a in alphas], special.kolmogi(alphas))
+        assert same_bits(ks_critical(m, k), special.kolmogi(0.01) * np.sqrt((m + k) / (m * k)))
 
 
 # ---------------------------------------------------------------------------

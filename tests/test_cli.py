@@ -77,6 +77,14 @@ def test_bad_n_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_horizon_off_the_step_grid_names_horizon_and_step(tmp_path, capsys):
+    out = tmp_path / "r"
+    assert main(["simulate", "radial-h", "horizon=0.0015", "paths=4", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "horizon 0.0015" in err and "step=0.001" in err
+    assert not out.exists()
+
+
 def test_missing_out_parent(tmp_path):
     target = tmp_path / "not" / "there" / "run"
     assert main(["verify", "geometry", "--out", str(target)]) == 2
@@ -158,9 +166,9 @@ def test_level_off_the_step_grid_names_u_grid_and_step(tmp_path, capsys, monkeyp
 @pytest.mark.parametrize(
     "target, horizon_a, named",
     [
-        ("cayley", "1.001", "horizon is not a whole number of steps"),
-        ("cayley", "0.001", "horizon shorter than one step"),
-        ("kelvin", "100000", "more than 1e7 steps requested"),
+        ("cayley", "1.001", "horizon 1.001 is not a positive whole number of steps of step=0.002"),
+        ("cayley", "0.001", "horizon 0.001 is not a positive whole number of steps of step=0.002"),
+        ("kelvin", "100000", "more than 1e7 steps requested: horizon 100000.0 at step=0.002"),
     ],
 )
 def test_route_a_horizon_off_the_step_grid_names_horizon_a_and_step(

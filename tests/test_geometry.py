@@ -178,6 +178,18 @@ def test_kelvin_involution(p):
     assert back.t == pytest.approx(p.t, rel=1e-12, abs=1e-12)
 
 
+def test_unconjugated_kelvin_is_not_an_involution():
+    # the conjugation in kelvin is what makes it an involution: without it
+    # the square turns z by the phase of (|z|^2 + 2it) / (|z|^2 - 2it)
+    def unconjugated(p):
+        r2 = float(np.sum(np.abs(p.z) ** 2))
+        return HPoint(p.z / (r2 - 2j * p.t), p.t / (r2**2 + 4.0 * p.t**2))
+
+    for p in (HPoint(z=np.array([1.0 + 1.0j]), t=0.3), HPoint(z=np.array([2.0 + 0j]), t=0.4)):
+        assert np.abs(kelvin(kelvin(p)).z - p.z).max() <= 1e-12
+        assert np.abs(unconjugated(unconjugated(p)).z - p.z).max() > 0.5
+
+
 @given(hpoints(n=2, avoid_origin=True))
 def test_kelvin_factorization(p):
     via_charts = cayley2_inv(cayley1_full(p))

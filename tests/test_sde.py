@@ -129,7 +129,7 @@ def test_radial_h_matches_projection():
         rad = sim_radial_h(cfg, x0=(0.0, 0.0), record_times=(1.0,), purpose=PURPOSE_COMPARE)
         for name in ("r", "t"):
             stat, _ = ks_two_sample(full.states[name][-1], rad.states[name][-1])
-            crit = ks_critical(0.01, cfg.paths, cfg.paths)
+            crit = ks_critical(cfg.paths, cfg.paths)
             assert stat < crit + 0.02, (n, name, stat, crit)
 
 
