@@ -34,9 +34,7 @@ from .analysis import (
 )
 from .geometry import (
     HPoint,
-    HRadial,
     SAmbient,
-    SCyl,
     H_fun,
     H_tilde,
     ambient_to_cyl,

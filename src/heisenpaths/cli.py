@@ -40,7 +40,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import fields
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -126,8 +126,7 @@ _ABSORBING = {**_GUARDED, "pole_eps": 1e-3}
 _EXPERIMENT = {k: v for k, v in _ABSORBING.items() if k != "horizon"}
 
 # every command with the defaults of every key it reads; ``out`` defaults to
-# ``<group>_<target>_out`` and ``tol.<check>`` overrides are taken by the
-# verify commands only
+# ``<group>_<target>_out``
 COMMANDS = {
     ("verify", "geometry"): {"seed": 1},
     ("verify", "operators"): {"seed": 1},
@@ -163,26 +162,19 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def resolve_config(command: tuple[str, str], raw: dict[str, str]) -> tuple[dict, dict[str, float]]:
-    """Typed config plus tolerance overrides from raw key=value strings."""
+def resolve_config(command: tuple[str, str], raw: dict[str, str]) -> dict:
+    """Typed config from raw key=value strings."""
     group, target = command
     defaults = {**COMMANDS[command], "out": f"{group}_{target}_out"}
     cfg = dict(defaults)
-    tol: dict[str, float] = {}
     for key, value in raw.items():
-        if group == "verify" and key.startswith("tol."):
-            try:
-                tol[key[4:]] = _parse_float(value)
-            except ValueError as e:
-                raise ConfigError(f"bad tolerance override {key}={value!r} ({e})") from e
-            continue
         if key not in defaults:
             raise ConfigError(f"unknown config key {key!r} for {group} {target}")
         try:
             cfg[key] = _PARSERS[type(defaults[key])](value)
         except ValueError as e:
             raise ConfigError(f"bad value for {key}: {value!r} ({e})") from e
-    return cfg, tol
+    return cfg
 
 
 def _sim_config(cfg: dict) -> SimConfig:
@@ -393,14 +385,6 @@ class RunWriter:
             raise
 
 
-def _apply_tol(records: list[CheckRecord], tol: dict[str, float]) -> list[CheckRecord]:
-    known = {r.name for r in records}
-    for name in tol:
-        if name not in known:
-            raise ConfigError(f"tolerance override for unknown check {name!r}")
-    return [replace(r, tolerance=tol.get(r.name, r.tolerance)) for r in records]
-
-
 # ---------------------------------------------------------------------------
 # command drivers (each takes the resolved config and its ``SimConfig`` and
 # returns manifest records, manifest extras and data files as {name: (header,
@@ -604,7 +588,7 @@ def main(argv=None) -> int:
         for key in _FLAGS:
             if getattr(args, key, None) is not None:
                 raw[key] = getattr(args, key)
-        cfg, tol = resolve_config(command, raw)
+        cfg = resolve_config(command, raw)
         sim = _sim_config(cfg)  # validates the simulation keys (a verify seed too) up front
         writer = RunWriter(cfg["out"])
 
@@ -616,7 +600,6 @@ def main(argv=None) -> int:
             records, extra, files = globals()[f"_drive_{target}"](cfg, sim)
         else:
             records, extra, files = globals()[f"_drive_{group}"](target, cfg, sim)
-        records = _apply_tol(records, tol)
         t1 = time.perf_counter()
     except ValueError as e:
         # library preconditions (bad start point, bad grid, ...) are config

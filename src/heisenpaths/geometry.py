@@ -13,13 +13,15 @@ Coordinate systems used throughout the package:
 * ambient sphere coordinates: a unit vector in C^(n+1).
 
 Array-valued kernels (``koranyi_N``, ``h_fun``, ``cayley1_chart``, ...) take
-plain floats/arrays and broadcast; the small container types at the top are
-for single points at API boundaries and validate their invariants.
+plain floats/arrays and broadcast, radial and cylinder coordinates included.
+The two point containers at the top, ``HPoint`` (full Heisenberg
+coordinates) and ``SAmbient`` (ambient sphere coordinates), carry single
+points through the exact maps and validate their invariants.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,8 +35,6 @@ POLE_TOL = 1e-14
 
 __all__ = [
     "HPoint",
-    "HRadial",
-    "SCyl",
     "SAmbient",
     "group_mul",
     "group_inv",
@@ -79,47 +79,6 @@ class HPoint:
     @property
     def n(self) -> int:
         return self.z.size
-
-    def radial(self) -> "HRadial":
-        return HRadial(float(np.sqrt(np.sum(np.abs(self.z) ** 2))), self.t)
-
-
-@dataclass(frozen=True)
-class HRadial:
-    """Radial coordinates ``(r_h, t)`` with ``r_h >= 0``."""
-
-    r_h: float
-    t: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.r_h) and np.isfinite(self.t)):
-            raise ValueError("HRadial entries must be finite")
-        if self.r_h < 0:
-            raise ValueError("r_h must be nonnegative")
-        object.__setattr__(self, "r_h", float(self.r_h))
-        object.__setattr__(self, "t", float(self.t))
-
-    def __iter__(self):
-        return iter((self.r_h, self.t))
-
-
-@dataclass(frozen=True)
-class SCyl:
-    """Sphere cylinder coordinates; ``theta`` is reduced mod 2*pi on entry."""
-
-    r_s: float
-    theta: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.r_s) and np.isfinite(self.theta)):
-            raise ValueError("SCyl entries must be finite")
-        if not 0.0 <= self.r_s < np.pi / 2:
-            raise ValueError("r_s must lie in [0, pi/2)")
-        object.__setattr__(self, "r_s", float(self.r_s))
-        object.__setattr__(self, "theta", float(np.mod(self.theta, TWO_PI)))
-
-    def __iter__(self):
-        return iter((self.r_s, self.theta))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,8 @@ function even in the radial variable degenerates to ``2n * f_rr``.
 
 Everything here is exact algebra on :class:`~heisenpaths.numdiff.Jet2`
 values; the only finite differences enter through the chart jets used by the
-identity residuals at the bottom.  Points are ``(radial, second)`` pairs —
-plain tuples of floats or arrays, or the container types from
-:mod:`~heisenpaths.geometry` (which unpack the same way).
+identity residuals at the bottom.  Points are ``(radial, second)`` pairs:
+plain tuples of floats or arrays.
 """
 
 from __future__ import annotations
@@ -81,9 +80,6 @@ class TestFunction:
 
     name: str
     jet: Callable  # (u, v) -> Jet2
-
-    def __call__(self, u, v):
-        return self.jet(u, v).f
 
     def eval(self, u, v):
         return self.jet(u, v).f

@@ -133,8 +133,10 @@ class SimConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+        for name in ("n", "paths", "workers"):
+            value = getattr(self, name)
+            if not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.step <= 0.1:
             raise ValueError(f"step must lie in (0, 0.1], got {self.step!r}")
         for name in ("step", "horizon", "pole_eps", "r_floor", "tame"):
@@ -143,16 +145,12 @@ class SimConfig:
         (k,) = grid_steps("horizon", (self.horizon,), self.step)
         if k > 10_000_000:
             raise ValueError(f"more than 1e7 steps requested: horizon {self.horizon!r} at step={self.step!r}")
-        if not (isinstance(self.paths, (int, np.integer)) and self.paths >= 1):
-            raise ValueError(f"paths must be a positive integer, got {self.paths!r}")
         if not 0.0 < self.pole_eps <= 0.1:
             raise ValueError(f"pole_eps must lie in (0, 0.1], got {self.pole_eps!r}")
         if not 0.0 < self.r_floor <= 1e-3:
             raise ValueError(f"r_floor must lie in (0, 1e-3], got {self.r_floor!r}")
         if self.tame <= 0:
-            raise ValueError("tame must be positive")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
+            raise ValueError(f"tame must be positive, got {self.tame!r}")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 
 from heisenpaths.geometry import (
     HPoint,
-    HRadial,
     SAmbient,
-    SCyl,
     H_fun,
     H_tilde,
     ambient_to_cyl,
@@ -284,16 +282,6 @@ def test_trig_via_tan_nan_in_nan_out(angle):
 def test_ambient_unit_check():
     with pytest.raises(ValueError):
         SAmbient(zeta=np.array([0.5 + 0j, 0.0 + 0j]))
-
-
-def test_scyl_wraps_angle():
-    q = SCyl(r_s=0.3, theta=2 * np.pi + 0.25)
-    assert q.theta == pytest.approx(0.25, abs=1e-12)
-
-
-def test_hradial_iter():
-    r, t = HRadial(r_h=0.5, t=-1.0)
-    assert (r, t) == (0.5, -1.0)
 
 
 def test_all_records_pass(geometry_records):

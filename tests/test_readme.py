@@ -1,13 +1,11 @@
 """The README's examples run as written: its Python quick tour executes,
 every ``heisenpaths`` command line it shows resolves to a valid config,
-every ``tol.<check>`` override it shows names a check the verify suites
-emit, and its key table lists the keys each command takes."""
+and its key table lists the keys each command takes."""
 
 import re
 import shlex
 from pathlib import Path
 
-from heisenpaths import verify_geometry, verify_operators
 from heisenpaths.cli import _FLAGS, COMMANDS, _build_parser, resolve_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -18,12 +16,6 @@ def test_python_blocks_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
-
-
-def test_tolerance_overrides_name_verify_checks():
-    names = set(re.findall(r"\btol\.(\w+)", README))
-    checks = {r.name for r in verify_geometry()} | {r.name for r in verify_operators()[0]}
-    assert names and not names - checks
 
 
 def test_command_lines_resolve():

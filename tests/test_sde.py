@@ -68,6 +68,13 @@ def test_config_rejects_non_finite(bad):
         SimConfig(**bad)
 
 
+def test_fractional_workers_rejected_by_value():
+    # a float count passes a bare ``>= 1`` check, and the thread pool then
+    # runs the blocks on two threads
+    with pytest.raises(ValueError, match=r"workers must be a positive integer, got 1\.5"):
+        SimConfig(workers=1.5, paths=3 * 4096)
+
+
 def test_start_point_must_be_finite():
     cfg = small_cfg(paths=8, horizon=0.01)
     for fn, x0 in (
