@@ -33,8 +33,6 @@ from .analysis import (
     tdist_experiment,
 )
 from .geometry import (
-    HPoint,
-    SAmbient,
     H_fun,
     H_tilde,
     ambient_to_cyl,

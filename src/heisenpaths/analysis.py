@@ -105,16 +105,6 @@ class SurvivalCurve:
     se: np.ndarray
     capped_mass: float = 0.0
 
-    def __post_init__(self):
-        ts = np.asarray(self.ts, dtype=float)
-        s = np.asarray(self.s_hat, dtype=float)
-        se = np.asarray(self.se, dtype=float)
-        if not (ts.shape == s.shape == se.shape) or ts.ndim != 1:
-            raise ValueError("ts, s_hat, se must be 1-D arrays of equal length")
-        object.__setattr__(self, "ts", ts)
-        object.__setattr__(self, "s_hat", s)
-        object.__setattr__(self, "se", se)
-
 
 def _mean_se(samples: np.ndarray) -> MCEstimate:
     samples = np.asarray(samples, dtype=float)
@@ -369,7 +359,7 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     b = np.sort(np.asarray(b, dtype=float))
     m, k = a.size, b.size
     if m < 10 or k < 10:
-        raise ValueError("need at least 10 samples on each side")
+        raise ValueError(f"need at least 10 samples on each side, got {m} and {k}")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("samples must be finite")
     allv = np.concatenate([a, b])
@@ -455,7 +445,10 @@ def _pushforward(x0, u_grid, cfg, horizon_a, clock: str, sim_b, chart, gauge, co
         rB, vB = ensB.states["r"][j][aliveB], ensB.states[coord][j][aliveB]
         samA = {"r": rA, coord: vA, "gauge": gauge(rA, vA)}
         samB = {"r": rB, coord: vB, "gauge": gauge(rB, vB)}
-        rec = _marginal_stats(samA, samB, ("r", coord, "gauge"))
+        try:
+            rec = _marginal_stats(samA, samB, ("r", coord, "gauge"))
+        except ValueError as e:
+            raise ValueError(f"{e} (route A, route B) on the {clock} clock at level u={u!r}") from e
         rec.update(
             _drop_stats(1.0 - float(np.mean(hitA)), 1.0 - float(np.mean(aliveB)), ensA.paths)
         )

@@ -14,14 +14,17 @@ Coordinate systems used throughout the package:
 
 Array-valued kernels (``koranyi_N``, ``h_fun``, ``cayley1_chart``, ...) take
 plain floats/arrays and broadcast, radial and cylinder coordinates included.
-The two point containers at the top, ``HPoint`` (full Heisenberg
-coordinates) and ``SAmbient`` (ambient sphere coordinates), carry single
-points through the exact maps and validate their invariants.
+The exact maps on full coordinates (``group_mul``, ``group_inv``,
+``cayley1_full``, ``cayley2_inv``, ``kelvin``) take one point at a time: a
+full point is a pair ``(z, t)`` with ``z`` a complex array of length ``n``
+and ``t`` a float, and an ambient point is a complex array of length
+``n + 1``.  They take ``t`` as a Python float and divide by Python complex
+scalars, whose CPython division rounds differently from numpy's, so
+broadcasting them over arrays of points would move the digits the geometry
+checks pin.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +37,6 @@ TWO_PI = 2.0 * np.pi
 POLE_TOL = 1e-14
 
 __all__ = [
-    "HPoint",
-    "SAmbient",
     "group_mul",
     "group_inv",
     "koranyi_N",
@@ -57,64 +58,23 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# point containers
-
-
-@dataclass(frozen=True)
-class HPoint:
-    """Point of the group: ``z`` in C^n (stored as a complex array), ``t`` real."""
-
-    z: np.ndarray
-    t: float
-
-    def __post_init__(self):
-        z = np.atleast_1d(np.asarray(self.z, dtype=complex))
-        if z.ndim != 1 or z.size < 1:
-            raise ValueError("z must be a nonempty complex vector")
-        if not (np.all(np.isfinite(z.view(float))) and np.isfinite(self.t)):
-            raise ValueError("HPoint entries must be finite")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "t", float(self.t))
-
-    @property
-    def n(self) -> int:
-        return self.z.size
-
-
-@dataclass(frozen=True)
-class SAmbient:
-    """Unit vector in C^(n+1); the norm is validated to 1e-12."""
-
-    zeta: np.ndarray
-
-    def __post_init__(self):
-        zeta = np.atleast_1d(np.asarray(self.zeta, dtype=complex))
-        if zeta.ndim != 1 or zeta.size < 2:
-            raise ValueError("zeta must be a complex vector of length >= 2")
-        if abs(np.sqrt(np.sum(np.abs(zeta) ** 2)) - 1.0) > 1e-12:
-            raise ValueError("zeta must lie on the unit sphere")
-        object.__setattr__(self, "zeta", zeta)
-
-    @property
-    def n(self) -> int:
-        return self.zeta.size - 1
-
-
-# ---------------------------------------------------------------------------
 # group operations (full coordinates)
 
 
-def group_mul(a: HPoint, b: HPoint) -> HPoint:
-    """Group product ``(z+z', t+t'+Im z.conj(z'))``."""
-    if a.n != b.n:
+def group_mul(p, q):
+    """Group product ``(z+z', t+t'+Im z.conj(z'))`` of ``p = (z, t)`` and
+    ``q = (z', t')``."""
+    (z, t), (w, s) = p, q
+    if len(z) != len(w):
         raise ValueError("dimension mismatch")
-    twist = float(np.sum(np.imag(a.z * np.conj(b.z))))
-    return HPoint(a.z + b.z, a.t + b.t + twist)
+    twist = float(np.sum(np.imag(z * np.conj(w))))
+    return z + w, t + s + twist
 
 
-def group_inv(a: HPoint) -> HPoint:
+def group_inv(p):
     """Group inverse ``(-z, -t)``."""
-    return HPoint(-a.z, -a.t)
+    z, t = p
+    return -z, -t
 
 
 # ---------------------------------------------------------------------------
@@ -201,17 +161,17 @@ def H_tilde(r, t):
 # first chart (omits (0, pi)) and its radial form
 
 
-def cayley1_full(p: HPoint) -> SAmbient:
-    """Full chart map onto the unit sphere in C^(n+1).
+def cayley1_full(p):
+    """Full chart map of ``p = (z, t)`` onto the unit sphere in C^(n+1).
 
     ``zeta_j = 2 z_j / d`` and ``zeta_last = (1 - |z|^2 + 2it) / d`` with
     ``d = (1 + |z|^2) - 2it``.  Sends the origin to ``e_n``; the image never
     reaches ``-e_n``.
     """
-    r2 = float(np.sum(np.abs(p.z) ** 2))
-    d = (1.0 + r2) - 2j * p.t
-    zeta = np.concatenate([2.0 * p.z / d, [((1.0 - r2) + 2j * p.t) / d]])
-    return SAmbient(zeta)
+    z, t = p[0], float(p[1])
+    r2 = float(np.sum(np.abs(z) ** 2))
+    d = (1.0 + r2) - 2j * t
+    return np.concatenate([2.0 * z / d, [((1.0 - r2) + 2j * t) / d]])
 
 
 def cayley1_chart(r, t):
@@ -266,22 +226,22 @@ def ambient_to_cyl(w) -> tuple[np.ndarray, np.ndarray]:
 # second chart (omits e_n) and the gauge inversion
 
 
-def cayley2_inv(q: SAmbient) -> HPoint:
+def cayley2_inv(zeta):
     """Inverse of the second chart, the mirror of the first: it omits
     ``+e_n``, sends ``-e_n`` to the origin and conjugates ``z``, as only an
     antiholomorphic second chart composes with the first into an involution
     (see :func:`kelvin`).  ``z = conj(zeta'/(1 - zeta_last))``,
     ``t = Im(2/(1 - zeta_last))/2``."""
-    wl = q.zeta[-1]
+    wl = zeta[-1]
     den = 1.0 - wl
     if abs(den) < POLE_TOL:
         raise ValueError("second-chart inverse evaluated at its omitted pole")
-    z = np.conj(q.zeta[:-1] / den)
+    z = np.conj(zeta[:-1] / den)
     t = float(np.imag(2.0 / den)) / 2.0
-    return HPoint(z, t)
+    return z, t
 
 
-def kelvin(p: HPoint) -> HPoint:
+def kelvin(p):
     """Gauge inversion on the group:
 
         kelvin(z, t) = (conj(z) / (|z|^2 + 2it), t / N)
@@ -294,11 +254,12 @@ def kelvin(p: HPoint) -> HPoint:
     involution wherever ``t != 0`` —
     ``tests/test_geometry.py::test_unconjugated_kelvin_is_not_an_involution``.
     """
-    r2 = float(np.sum(np.abs(p.z) ** 2))
-    N = r2**2 + 4.0 * p.t**2
+    z, t = p[0], float(p[1])
+    r2 = float(np.sum(np.abs(z) ** 2))
+    N = r2**2 + 4.0 * t**2
     if N <= 0.0:
         raise ValueError("gauge inversion undefined at the origin")
-    return HPoint(np.conj(p.z) / (r2 + 2j * p.t), p.t / N)
+    return np.conj(z) / (r2 + 2j * t), t / N
 
 
 def kelvin_radial(r, t):

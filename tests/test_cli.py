@@ -110,6 +110,19 @@ def test_too_few_law_samples_is_config_error(tmp_path, capsys):
     assert "config error: need at least 10 samples on each side" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "experiment, where",
+    [
+        ("cayley", "got 8 and 8 (route A, route B) on the cayley clock at level u=0.3"),
+        ("kelvin", "got 7 and 7 (route A, route B) on the kelvin_image clock at level u=0.2"),
+    ],
+)
+def test_too_few_law_samples_names_the_counts_clock_and_level(tmp_path, capsys, experiment, where):
+    argv = ["experiment", experiment, "paths=8", "step=5e-3", "horizon_a=5", "--seed", "1"]
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    assert f"config error: need at least 10 samples on each side, {where}\n" in capsys.readouterr().err
+
+
 def test_start_outside_the_map_domain_fails_before_simulating(tmp_path, capsys, monkeypatch):
     # the gauge inversion is undefined at the origin: the start must be
     # rejected by name before route A steps a single path

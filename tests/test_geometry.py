@@ -6,8 +6,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from heisenpaths.geometry import (
-    HPoint,
-    SAmbient,
     H_fun,
     H_tilde,
     ambient_to_cyl,
@@ -31,9 +29,10 @@ nonzero = st.floats(0.05, 3.0)
 
 
 def hpoints(n=1, avoid_origin=False):
+    """Full points ``(z, t)``, ``z`` a complex array of length ``n``."""
+
     def build(res, ims, t):
-        z = np.array([complex(a, b) for a, b in zip(res, ims)])
-        return HPoint(z=z, t=t)
+        return np.array([complex(a, b) for a, b in zip(res, ims)]), t
 
     pts = st.builds(
         build,
@@ -42,7 +41,7 @@ def hpoints(n=1, avoid_origin=False):
         finite,
     )
     if avoid_origin:
-        pts = pts.filter(lambda p: koranyi_N(np.linalg.norm(p.z), p.t) > 1e-4)
+        pts = pts.filter(lambda p: koranyi_N(np.linalg.norm(p[0]), p[1]) > 1e-4)
     return pts
 
 
@@ -51,25 +50,27 @@ def hpoints(n=1, avoid_origin=False):
 
 
 def test_group_mul_twist():
-    p = HPoint(z=np.array([1.0 + 0j]), t=0.0)
-    q = HPoint(z=np.array([1j]), t=0.0)
-    pq = group_mul(p, q)
+    z, t = group_mul((np.array([1.0 + 0j]), 0.0), (np.array([1j]), 0.0))
     # twist term Im(z . conj(z')) = Im(1 * (-i)) = -1
-    assert pq.t == -1.0
-    assert np.allclose(pq.z, [1.0 + 1j])
+    assert t == -1.0
+    assert np.allclose(z, [1.0 + 1j])
+
+
+def test_group_mul_dimension_mismatch():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        group_mul((np.array([1.0 + 0j]), 0.0), (np.array([1j, 0j]), 0.0))
 
 
 @given(hpoints(), hpoints(), hpoints())
 def test_group_associative(p, q, r):
-    a = group_mul(group_mul(p, q), r)
-    b = group_mul(p, group_mul(q, r))
-    assert np.allclose(a.z, b.z, atol=1e-12) and abs(a.t - b.t) < 1e-12
+    (az, at), (bz, bt) = group_mul(group_mul(p, q), r), group_mul(p, group_mul(q, r))
+    assert np.allclose(az, bz, atol=1e-12) and abs(at - bt) < 1e-12
 
 
 @given(hpoints(n=2))
 def test_group_inverse(p):
-    e = group_mul(p, group_inv(p))
-    assert np.allclose(e.z, 0, atol=1e-12) and abs(e.t) < 1e-12
+    ez, et = group_mul(p, group_inv(p))
+    assert np.allclose(ez, 0, atol=1e-12) and abs(et) < 1e-12
 
 
 @given(nonzero, finite, st.floats(0.1, 2.0))
@@ -110,22 +111,22 @@ def test_chart_roundtrip_backward(rs, th):
 
 
 @given(hpoints())
-@example(HPoint(z=np.array([0.99999j]), t=0.0))  # r_s near pi/2, where an arcsin form loses digits
+@example((np.array([0.99999j]), 0.0))  # r_s near pi/2, where an arcsin form loses digits
 def test_chart_matches_ambient(p):
     zeta = cayley1_full(p)
-    rs, th = cayley1_chart(np.linalg.norm(p.z), p.t)
+    rs, th = cayley1_chart(np.linalg.norm(p[0]), p[1])
     # |zeta'| = sin(r_s) avoids the arccos conditioning blowup at the axis
-    assert np.linalg.norm(zeta.zeta[:-1]) == pytest.approx(np.sin(rs), abs=1e-12)
-    assert abs(zeta.zeta[-1]) == pytest.approx(np.cos(rs), abs=1e-12)
+    assert np.linalg.norm(zeta[:-1]) == pytest.approx(np.sin(rs), abs=1e-12)
+    assert abs(zeta[-1]) == pytest.approx(np.cos(rs), abs=1e-12)
     if rs > 1e-6:  # angle of the last coordinate degenerates on the axis
-        th_amb = float(np.angle(zeta.zeta[-1])) % (2 * np.pi)
+        th_amb = float(np.angle(zeta[-1])) % (2 * np.pi)
         assert np.cos(th_amb - th) == pytest.approx(1.0, abs=1e-10)
 
 
 @pytest.mark.parametrize("r, t", [(1e-8, 0.0), (1e-3, 0.5), (1e5, 0.0), (0.99999, 0.0)])
 def test_ambient_radius_matches_the_chart_near_the_axis_and_the_equator(r, t):
     # arccos(|w_last|) loses digits where r_s nears 0, arcsin where it nears pi/2
-    rs_amb, _ = ambient_to_cyl(cayley1_full(HPoint(z=np.array([complex(r)]), t=t)).zeta)
+    rs_amb, _ = ambient_to_cyl(cayley1_full((np.array([complex(r)]), t)))
     rs, _ = cayley1_chart(r, t)
     assert rs_amb == pytest.approx(rs, rel=1e-12)
 
@@ -138,13 +139,10 @@ def test_chart_inv_pole_error():
 @given(hpoints())
 def test_factor_pullback(p):
     # the group-side factor is the sphere-side factor seen through the chart
-    rs, th = cayley1_chart(np.linalg.norm(p.z), p.t)
-    assert H_fun(np.linalg.norm(p.z), p.t) == pytest.approx(
-        h_fun(rs, th), rel=1e-12, abs=1e-12
-    )
-    assert H_tilde(np.linalg.norm(p.z), p.t) == pytest.approx(
-        h_tilde(rs, th), rel=1e-12, abs=4e-12
-    )
+    r, t = np.linalg.norm(p[0]), p[1]
+    rs, th = cayley1_chart(r, t)
+    assert H_fun(r, t) == pytest.approx(h_fun(rs, th), rel=1e-12, abs=1e-12)
+    assert H_tilde(r, t) == pytest.approx(h_tilde(rs, th), rel=1e-12, abs=4e-12)
 
 
 @given(st.floats(0.05, 1.4), st.floats(0.05, 2 * np.pi - 0.05))
@@ -163,53 +161,72 @@ def test_gauge_transport(rs, th):
 
 
 def test_kelvin_frozen():
-    p = HPoint(z=np.array([1.0 + 0j]), t=0.0)
-    k = kelvin(p)
-    assert np.allclose(k.z, [1.0 + 0j]) and k.t == 0.0  # unit sphere is fixed
+    kz, kt = kelvin((np.array([1.0 + 0j]), 0.0))
+    assert np.allclose(kz, [1.0 + 0j]) and kt == 0.0  # unit sphere is fixed
     assert kelvin_radial(1.0, 0.0) == (1.0, 0.0)
+
+
+def test_kelvin_origin_error():
+    with pytest.raises(ValueError, match="origin"):
+        kelvin((np.zeros(2, dtype=complex), 0.0))
 
 
 @given(hpoints(avoid_origin=True))
 def test_kelvin_involution(p):
-    back = kelvin(kelvin(p))
-    assert np.allclose(back.z, p.z, rtol=1e-12, atol=1e-12)
-    assert back.t == pytest.approx(p.t, rel=1e-12, abs=1e-12)
+    bz, bt = kelvin(kelvin(p))
+    assert np.allclose(bz, p[0], rtol=1e-12, atol=1e-12)
+    assert bt == pytest.approx(p[1], rel=1e-12, abs=1e-12)
 
 
 def test_unconjugated_kelvin_is_not_an_involution():
     # the conjugation in kelvin is what makes it an involution: without it
     # the square turns z by the phase of (|z|^2 + 2it) / (|z|^2 - 2it)
     def unconjugated(p):
-        r2 = float(np.sum(np.abs(p.z) ** 2))
-        return HPoint(p.z / (r2 - 2j * p.t), p.t / (r2**2 + 4.0 * p.t**2))
+        z, t = p
+        r2 = float(np.sum(np.abs(z) ** 2))
+        return z / (r2 - 2j * t), t / (r2**2 + 4.0 * t**2)
 
-    for p in (HPoint(z=np.array([1.0 + 1.0j]), t=0.3), HPoint(z=np.array([2.0 + 0j]), t=0.4)):
-        assert np.abs(kelvin(kelvin(p)).z - p.z).max() <= 1e-12
-        assert np.abs(unconjugated(unconjugated(p)).z - p.z).max() > 0.5
+    for p in ((np.array([1.0 + 1.0j]), 0.3), (np.array([2.0 + 0j]), 0.4)):
+        assert np.abs(kelvin(kelvin(p))[0] - p[0]).max() <= 1e-12
+        assert np.abs(unconjugated(unconjugated(p))[0] - p[0]).max() > 0.5
 
 
 @given(hpoints(n=2, avoid_origin=True))
 def test_kelvin_factorization(p):
-    via_charts = cayley2_inv(cayley1_full(p))
-    direct = kelvin(p)
-    assert np.allclose(via_charts.z, direct.z, rtol=1e-12, atol=1e-12)
-    assert via_charts.t == pytest.approx(direct.t, rel=1e-12, abs=1e-12)
+    vz, vt = cayley2_inv(cayley1_full(p))
+    kz, kt = kelvin(p)
+    assert np.allclose(vz, kz, rtol=1e-12, atol=1e-12)
+    assert vt == pytest.approx(kt, rel=1e-12, abs=1e-12)
 
 
-def cayley2_full(p: HPoint) -> SAmbient:
+def cayley2_full(p):
     """Second chart map, centered so the origin goes to ``-e_n``:
     ``zeta_j = 2 conj(z_j) / d2`` and ``zeta_last = -(1 - |z|^2 - 2it) / d2``
     with ``d2 = (1 + |z|^2) + 2it``; the image never reaches ``+e_n``."""
-    r2 = float(np.sum(np.abs(p.z) ** 2))
-    d2 = (1.0 + r2) + 2j * p.t
-    return SAmbient(np.concatenate([2.0 * np.conj(p.z) / d2, [-((1.0 - r2) - 2j * p.t) / d2]]))
+    z, t = p
+    r2 = float(np.sum(np.abs(z) ** 2))
+    d2 = (1.0 + r2) + 2j * t
+    return np.concatenate([2.0 * np.conj(z) / d2, [-((1.0 - r2) - 2j * t) / d2]])
 
 
 @given(hpoints(avoid_origin=True))
 def test_second_chart_roundtrip(p):
-    back = cayley2_inv(cayley2_full(p))
-    assert np.allclose(back.z, p.z, rtol=1e-12, atol=1e-12)
-    assert back.t == pytest.approx(p.t, rel=1e-12, abs=1e-12)
+    bz, bt = cayley2_inv(cayley2_full(p))
+    assert np.allclose(bz, p[0], rtol=1e-12, atol=1e-12)
+    assert bt == pytest.approx(p[1], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_second_chart_inverse_pole_error(n):
+    with pytest.raises(ValueError, match="omitted pole"):
+        cayley2_inv(np.eye(n + 1, dtype=complex)[n])
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@given(data=st.data())
+def test_cayley1_full_lands_on_the_unit_sphere(n, data):
+    zeta = cayley1_full(data.draw(hpoints(n=n)))
+    assert np.sqrt(np.sum(np.abs(zeta) ** 2)) == pytest.approx(1.0, abs=1e-12)
 
 
 @given(nonzero, finite)
@@ -277,11 +294,6 @@ def test_trig_via_tan_nan_in_nan_out(angle):
     out = trig_via_tan(np.array([np.nan, 0.5]), angle=angle)
     assert all(np.isnan(v[0]) and np.isfinite(v[1]) for v in out)
     assert all(np.isnan(v) for v in trig_via_tan(np.nan, angle=angle))
-
-
-def test_ambient_unit_check():
-    with pytest.raises(ValueError):
-        SAmbient(zeta=np.array([0.5 + 0j, 0.0 + 0j]))
 
 
 def test_all_records_pass(geometry_records):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from heisenpaths import sde
-from heisenpaths.analysis import ks_critical, ks_two_sample
+from heisenpaths.analysis import KOLMOGI_1PCT, ks_critical, ks_two_sample
 from heisenpaths.geometry import TWO_PI, h_fun, koranyi_N
 from heisenpaths.operators import drift_hproc
 from heisenpaths.rng import PURPOSE_COMPARE
@@ -126,6 +126,27 @@ def test_full_h_moments(n):
     # n T^2 - n T step
     exact = n * T * T - n * T * cfg.step
     assert abs(t2.mean() - exact) < 4 * se_t
+
+
+def chi2_even_cdf(x, n):
+    """CDF of chi-squared with ``2n`` degrees of freedom:
+    ``1 - exp(-x/2) sum_{k<n} (x/2)^k / k!``."""
+    half = x / 2.0
+    return 1.0 - np.exp(-half) * sum(half**k / math.factorial(k) for k in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_full_h_radius_is_exactly_chi2(n):
+    # the Euler step of z is a sum of Gaussian increments, so |z_T|^2 / T is
+    # chi-squared with 2n degrees of freedom at every step size: a
+    # one-sample KS against the exact law at its 1% critical value, no slack
+    cfg = SimConfig(n=n, step=1e-3, horizon=0.01, paths=100_000, seed=1)
+    ens = sim_full_h(cfg, record_times=(cfg.horizon,))
+    x = np.sort(np.sum(np.abs(ens.states["z"][-1]) ** 2, axis=0) / cfg.horizon)
+    F = chi2_even_cdf(x, n)
+    i = np.arange(1, x.size + 1)
+    stat = max(np.max(i / x.size - F), np.max(F - (i - 1) / x.size))
+    assert stat <= KOLMOGI_1PCT / np.sqrt(x.size), (n, stat)
 
 
 def test_radial_h_matches_projection():
