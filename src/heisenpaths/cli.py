@@ -248,47 +248,36 @@ def _field_rows(kind: str, col: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def _csv_kind(name: str, col: np.ndarray) -> str:
-    kinds = {col.dtype.kind}
-    if col.dtype.kind == "O":
-        # a column built from a Python sequence takes the kind of its values
-        kinds = {np.asarray(v).dtype.kind for v in col.tolist()}
-    if len(kinds) > 1:
-        raise TypeError(f"CSV column {name!r} mixes value kinds {sorted(kinds)}")
-    kind = kinds.pop() if kinds else "U"
-    if kind not in _CSV_KINDS:
+    if col.dtype.kind not in _CSV_KINDS:
         raise TypeError(f"CSV column {name!r} has unsupported values ({col.dtype})")
-    return kind
+    return col.dtype.kind
 
 
 class Coded(NamedTuple):
     """A CSV column of ``rows`` rows given as its distinct ``values`` (a 1-D
-    array or sequence) and ``codes``, which maps an array of row numbers to
-    those rows' indices into ``values``."""
+    array) and ``codes``, which maps an array of row numbers to those rows'
+    indices into ``values``."""
 
-    values: Sequence
+    values: np.ndarray
     rows: int
     codes: Callable[[np.ndarray], np.ndarray]
 
 
-def _as_column(c):
-    return c if isinstance(c, (np.ndarray, Coded)) else np.asarray(c, dtype=object)
-
-
 def _csv_chunks(header: list[str], columns) -> tuple[list[str], int]:
-    """CSV text: the header line, then the rows of ``columns`` (one 1-D array,
-    sequence or :class:`Coded` column per header name) in chunks of
-    ``CSV_CHUNK_ROWS`` rows; and how many float fields ``%`` formatted.
+    """CSV text: the header line, then the rows of ``columns`` (one 1-D array
+    or :class:`Coded` column per header name) in chunks of ``CSV_CHUNK_ROWS``
+    rows; and how many float fields ``%`` formatted.
 
     Each value prints as ``_fmt`` prints it: integers in decimal, floats as
-    ``%.17g``, strings as they are.  A column that mixes these kinds, or
-    holds anything else (booleans included), is an error.  Each column
+    ``%.17g``, strings as they are.  A column of any other dtype (booleans
+    and objects included) is an error.  Each column
     becomes a matrix of NUL-padded byte rows (:mod:`.csvrows`), and
     ``csv_lines`` joins a chunk's fields into lines and drops every NUL
     byte.  A coded column formats each of its values once, and each chunk
     gathers its rows' byte rows by code."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} CSV header names for {len(columns)} columns")
-    cols = [_as_column(c) for c in columns]
+    cols = list(columns)
     plain = [c for c in cols if not isinstance(c, Coded)]
     lengths = {c.rows if isinstance(c, Coded) else len(c) for c in cols}
     if any(c.ndim != 1 for c in plain) or len(lengths) > 1:
@@ -297,7 +286,7 @@ def _csv_chunks(header: list[str], columns) -> tuple[list[str], int]:
     kinds, texts, python = [], {}, 0
     for j, (name, c) in enumerate(zip(header, cols)):
         if isinstance(c, Coded):
-            values = _as_column(c.values)
+            values = c.values
             if values.ndim != 1:
                 raise ValueError(f"CSV column {name!r} has values that are not 1-D")
             rows, count = _field_rows(_csv_kind(name, values), values)
@@ -414,22 +403,22 @@ def _sample_columns(rep: dict, coord: str) -> list[np.ndarray]:
     ends = np.cumsum([len(sam["r"]) for sam in parts])
     rows = int(ends[-1])
     return [
-        Coded(rep["u_grid"], rows, lambda i: np.searchsorted(ends, i, side="right") // 2),
-        Coded(("A", "B"), rows, lambda i: np.searchsorted(ends, i, side="right") % 2),
+        Coded(np.array(rep["u_grid"]), rows, lambda i: np.searchsorted(ends, i, side="right") // 2),
+        Coded(np.array(["A", "B"]), rows, lambda i: np.searchsorted(ends, i, side="right") % 2),
         *(np.concatenate([sam[name] for sam in parts]) for name in ("r", coord, "gauge")),
     ]
+
+
+def _level_results(rep: dict, tag: str, keys: Sequence[str]) -> dict:
+    """``result.<tag>_u<j>_<key>`` of each level ``j`` of a pushforward report."""
+    return {f"result.{tag}_u{j}_{key}": rep[u][key] for j, u in enumerate(rep["u_grid"]) for key in keys}
 
 
 def _drive_cayley(cfg: dict, sim: SimConfig) -> tuple[list[CheckRecord], dict, dict]:
     rep = pushforward_experiment_cayley(
         (cfg["x0_r"], cfg["x0_t"]), cfg["u_grid"], sim, horizon_a=cfg["horizon_a"]
     )
-    extra: dict = {}
-    for j, u in enumerate(rep["u_grid"]):
-        tag, rec = f"cayley_u{j}", rep[u]
-        extra.update({f"result.{tag}_p_{m}": rec[f"p_{m}"] for m in ("r", "th", "gauge")})
-        extra[f"result.{tag}_dropA"] = rec["dropA"]
-        extra[f"result.{tag}_dropB"] = rec["dropB"]
+    extra = _level_results(rep, "cayley", ("p_r", "p_th", "p_gauge", "dropA", "dropB"))
     files = {"samples.csv": (["u", "route", "r", "theta", "gauge"], _sample_columns(rep, "th"))}
     return rep["checks"], extra, files
 
@@ -437,22 +426,19 @@ def _drive_cayley(cfg: dict, sim: SimConfig) -> tuple[list[CheckRecord], dict, d
 def _drive_kelvin(cfg: dict, sim: SimConfig) -> tuple[list[CheckRecord], dict, dict]:
     x0 = (cfg["x0_r"], cfg["x0_t"])
     records, extra, files = [], {}, {}
-    for orientation in ("image", "preimage"):
+    for orientation, keys in (("image", ("p_r", "p_t", "p_gauge")), ("preimage", ("ks_r",))):
         rep = pushforward_experiment_kelvin(
             x0, cfg["u_grid"], sim, orientation=orientation, horizon_a=cfg["horizon_a"]
         )
         records += rep["checks"]
-        for j, u in enumerate(rep["u_grid"]):
-            tag, rec = f"kelvin_{orientation}_u{j}", rep[u]
-            if orientation == "image":
-                extra.update({f"result.{tag}_p_{m}": rec[f"p_{m}"] for m in ("r", "t", "gauge")})
-            else:
-                # the negative control's own check is its separation; its
-                # radial law check is expected to fail
-                extra[f"note.{tag}_law"] = (
-                    "PASS (unexpected)" if rec["law"]["ks_r"].passed else "FAIL (expected: negative control)"
+        extra.update(_level_results(rep, f"kelvin_{orientation}", keys))
+        if orientation == "preimage":
+            # the negative control's own check is its separation; its radial
+            # law check is expected to fail
+            for j, u in enumerate(rep["u_grid"]):
+                extra[f"note.kelvin_preimage_u{j}_law"] = (
+                    "PASS (unexpected)" if rep[u]["law"]["ks_r"].passed else "FAIL (expected: negative control)"
                 )
-                extra[f"result.{tag}_ks_r"] = rec["ks_r"]
         files[f"samples_{orientation}.csv"] = (
             ["u", "route", "r", "t", "gauge"], _sample_columns(rep, "t")
         )
@@ -489,7 +475,7 @@ def _drive_semigroup(cfg: dict, sim: SimConfig) -> tuple[list[CheckRecord], dict
         for side, res in results
     ]
     header = ["side", "func", "t", "conditioned", "conditioned_se", "weighted", "weighted_se", "gap", "tol"]
-    return records, {}, {"semigroup.csv": (header, list(zip(*rows)))}
+    return records, {}, {"semigroup.csv": (header, [np.array(c) for c in zip(*rows)])}
 
 
 def _default_record(sim: SimConfig) -> tuple[float, ...]:
@@ -525,7 +511,7 @@ def _drive_simulate(target: str, cfg: dict, sim: SimConfig) -> tuple[list[CheckR
         dead = ~ens.alive
         header += ["absorbed", "absorption_time"]
         columns += [
-            Coded((0, 1), rows, lambda i: dead[i % m, i // m].astype(np.intp)),
+            Coded(np.array([0, 1]), rows, lambda i: dead[i % m, i // m].astype(np.intp)),
             Coded(ens.death_time, rows, lambda i: i // m),
         ]
     header = ["path", "time"] + header

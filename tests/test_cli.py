@@ -563,13 +563,12 @@ def test_csv_chunks_match_fmt_per_value(rows):
         np.arange(rows, dtype=np.int64) - rows // 2,        # numpy int64
         np.resize(np.array([-(2**63), 2**63 - 1, 0, -1, 10**18]), rows),  # int64 extremes
         np.resize(np.array([2**64 - 1, 0, 10**19], dtype=np.uint64), rows),  # uint64
-        [2**62 - i for i in range(rows)],                   # Python int
+        np.array([2**62 - i for i in range(rows)], dtype=np.int64),  # large int64
         (np.arange(rows) % 2).astype(np.int8),              # small ints
         edge,                                               # float64 edge values
         spread,                                             # float64 across exponents
-        [float(v) for v in spread[::-1]],                   # Python float
-        np.resize(np.array(["A", "B"]), rows),              # numpy str
-        [("sphere", "heis")[i % 2] for i in range(rows)],   # Python str
+        np.resize(np.array(["A", "B"]), rows),              # one-letter str
+        np.resize(np.array(["sphere", "heis"]), rows),      # str of two widths
     ]
     header = [f"c{j}" for j in range(len(columns))]
     chunks, _ = _csv_chunks(header, columns)
@@ -598,11 +597,11 @@ def test_coded_columns_match_fmt_per_value(rows):
     columns = [
         Coded(np.arange(rows // 11 + 2), rows, lambda i: i // 11),       # path ids
         Coded(floats, rows, lambda i: (i // 5) % 7),                     # float64 edges
-        Coded([0.0, -0.0, 1e300], rows, lambda i: (i % 2).astype(np.uint8)),  # Python float
-        Coded([2**62 - k for k in range(4)], rows, lambda i: (i // 7) % 3),   # Python int
-        Coded((0, 1, 2), rows, lambda i: i % 2),                         # small ints
-        Coded(np.array(["A", "B", "C"]), rows, lambda i: (i // 3) % 2),  # numpy str
-        Coded(("sphere", "heis", "none"), rows, lambda i: i % 2),        # Python str
+        Coded(np.array([0.0, -0.0, 1e300]), rows, lambda i: (i % 2).astype(np.uint8)),  # uint8 codes
+        Coded(np.array([2**62 - k for k in range(4)]), rows, lambda i: (i // 7) % 3),   # large ints
+        Coded(np.array([0, 1, 2]), rows, lambda i: i % 2),               # small ints
+        Coded(np.array(["A", "B", "C"]), rows, lambda i: (i // 3) % 2),  # one-letter str
+        Coded(np.array(["sphere", "heis", "none"]), rows, lambda i: i % 2),  # str of two widths
         np.arange(rows) * 0.5,                                           # a plain column beside them
     ]
     header = [f"c{j}" for j in range(len(columns))]
@@ -614,7 +613,7 @@ def test_coded_columns_match_fmt_per_value(rows):
 
 @pytest.mark.parametrize("code", [-1, 3])
 def test_coded_column_code_out_of_range_raises(code):
-    column = Coded((1.0, 2.0, 3.0), CSV_CHUNK_ROWS + 1, lambda i: np.where(i == CSV_CHUNK_ROWS, code, 0))
+    column = Coded(np.array([1.0, 2.0, 3.0]), CSV_CHUNK_ROWS + 1, lambda i: np.where(i == CSV_CHUNK_ROWS, code, 0))
     with pytest.raises(IndexError):
         _csv_chunks(["x"], [column])
 
@@ -622,19 +621,27 @@ def test_coded_column_code_out_of_range_raises(code):
 def test_coded_column_needs_one_integer_code_per_row():
     for codes in (lambda i: i % 2 == 0, lambda i: (i % 2).astype(float), lambda i: i[1:] % 2):
         with pytest.raises(TypeError):
-            _csv_chunks(["x"], [Coded((1.0, 2.0), 5, codes)])
+            _csv_chunks(["x"], [Coded(np.array([1.0, 2.0]), 5, codes)])
 
 
 def test_coded_column_length_counts_for_raggedness():
     with pytest.raises(ValueError):
-        _csv_chunks(["a", "b"], [Coded((1.0,), 3, lambda i: i * 0), np.zeros(4)])
+        _csv_chunks(["a", "b"], [Coded(np.array([1.0]), 3, lambda i: i * 0), np.zeros(4)])
 
 
 @pytest.mark.parametrize(
     "column",
-    [[1, 2.5], ["a", 1.0], np.array([1, "a"], dtype=object), [True, 1], np.array([True, False])],
+    [
+        np.array([1, 2.5], dtype=object),
+        np.array(["a", 1.0], dtype=object),
+        np.array([1, "a"], dtype=object),
+        np.array([True, 1], dtype=object),
+        np.array([True, False]),
+    ],
 )
 def test_csv_chunks_reject_mixed_or_boolean_columns(column):
+    # a column's dtype decides how it prints, so an object column is
+    # rejected whatever it holds
     with pytest.raises(TypeError):
         _csv_chunks(["x"], [column])
     with pytest.raises(TypeError):
@@ -646,10 +653,12 @@ def test_csv_chunks_reject_ragged_columns():
         _csv_chunks(["a", "b"], [np.zeros(3), np.zeros(4)])
 
 
-@pytest.mark.parametrize("column", [["a\0b"], ["b\0"], ["\0"], np.array(["a\0b"])])
+@pytest.mark.parametrize(
+    "column", [np.array(["\0b"]), np.array(["a", "b\0c"]), np.array(["\0\0x", "y"]), np.array(["a\0b"])]
+)
 def test_csv_string_with_nul_is_rejected(column):
     # the byte rows are NUL-padded and every NUL is dropped, so a NUL in a
-    # string would vanish from the file
+    # string would vanish from the file (numpy itself strips trailing NULs)
     with pytest.raises(ValueError, match="NUL"):
         _csv_chunks(["x"], [column])
     with pytest.raises(ValueError, match="NUL"):
