@@ -4,7 +4,9 @@
 ``lines`` is the physical line count; ``code`` counts the lines that hold
 a token other than a comment, a docstring or a line break, as
 ``tokenize`` reads them.  A docstring is a string expression standing
-alone as a statement.  The last row sums each column.
+alone as a statement.  The ``total`` row sums each column.  The last
+line, ``settable <N>``, counts the values a run can set: each key of each
+command in ``heisenpaths.cli.COMMANDS``, plus its ``out``.
 
 Usage: python scripts/src_lines.py
 """
@@ -17,6 +19,10 @@ import tokenize
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "heisenpaths"
+sys.path.insert(0, str(SRC.parent))
+
+from heisenpaths.cli import COMMANDS  # noqa: E402
+
 _LAYOUT = {token.NEWLINE, tokenize.NL, token.INDENT, token.DEDENT, token.ENDMARKER, tokenize.COMMENT}
 
 
@@ -46,6 +52,7 @@ def main() -> int:
     for name, physical, code in rows:
         print(f"{name:<16} {physical:>6} {code:>6}")
     print(f"{'total':<16} {sum(r[1] for r in rows):>6} {sum(r[2] for r in rows):>6}")
+    print(f"settable {sum(len(keys) + 1 for keys in COMMANDS.values())}")
     return 0
 
 

@@ -117,12 +117,11 @@ _PARSERS = {int: _parse_int, float: _parse_float, tuple: _parse_floats, str: _pa
 # manifest's config echo so reruns compare byte-identical
 ECHO_EXCLUDE = {"workers", "out"}
 
-# the simulation keys (``SimConfig`` fields) of the simulators, by the
-# guards and absorption floor they read, and of the experiments, which set
-# the horizon of each of their runs from their own keys
+# the simulation keys (``SimConfig`` fields) of the simulators, by whether
+# they read the absorption floor, and of the experiments, which set the
+# horizon of each of their runs from their own keys
 _FREE = {"n": 1, "step": 1e-3, "horizon": 1.0, "paths": 20_000, "seed": 1, "workers": 1}
-_GUARDED = {**_FREE, "r_floor": 1e-6, "tame": 4.0}
-_ABSORBING = {**_GUARDED, "pole_eps": 1e-3}
+_ABSORBING = {**_FREE, "pole_eps": 1e-3}
 _EXPERIMENT = {k: v for k, v in _ABSORBING.items() if k != "horizon"}
 
 # every command with the defaults of every key it reads; ``out`` defaults to
@@ -137,8 +136,8 @@ COMMANDS = {
         **_EXPERIMENT, "x0_r": 0.0, "x0_t": 0.0, "t_grid": (0.25, 0.5), "xn_r": 1.0, "xn_t": 0.0, "tn": 0.5,
     },
     ("simulate", "full-h"): {**_FREE, "x0_t": 0.0, "record": ()},
-    ("simulate", "radial-h"): {**_GUARDED, "x0_r": 0.0, "x0_t": 0.0, "record": ()},
-    ("simulate", "radial-s"): {**_GUARDED, "x0_r": 0.0, "x0_t": 0.0, "record": ()},
+    ("simulate", "radial-h"): {**_FREE, "x0_r": 0.0, "x0_t": 0.0, "record": ()},
+    ("simulate", "radial-s"): {**_FREE, "x0_r": 0.0, "x0_t": 0.0, "record": ()},
     ("simulate", "hproc"): {**_ABSORBING, "x0_r": 0.0, "x0_t": 0.0, "record": ()},
     ("simulate", "nproc"): {**_ABSORBING, "x0_r": 1.0, "x0_t": 0.0, "record": ()},
 }

@@ -7,14 +7,15 @@ the first-order coefficient of the generator.  Two discrete moments pin the
 convention down exactly: the full simulator satisfies ``E|z(T)|^2 = 2nT`` and
 ``E t(T)^2 = n T^2 - n T step`` in expectation, step by step.
 
-Stability guards (all in units of ``sqrt(step)``):
+Stability guards of the tamed Euler scheme (Hutzenthaler, Jentzen & Kloeden,
+Ann. Appl. Probab. 2012), constants of the scheme rather than of a run:
 
 * singular drift coefficients are evaluated at a radial coordinate clipped
   away from the axis (and, on the sphere, away from the equator) by
   ``0.5*sqrt(step)``;
-* the total drift displacement per step is capped at ``tame*sqrt(step)``;
-* the radial coordinate reflects at 0 with a floor of ``r_floor``; the
-  sphere radial coordinate is clamped below ``pi/2 - r_floor``.
+* the drift displacement per step is capped at ``TAME*sqrt(step)``;
+* the radial coordinate reflects at 0 with a floor of ``R_FLOOR``; the
+  sphere radial coordinate is clamped below ``pi/2 - R_FLOOR``.
 
 Absorption thresholds of the conditioned processes:
 
@@ -98,6 +99,8 @@ from .operators import drift_hproc, sphere_radial_drift  # noqa: F401
 from .rng import BLOCK_PATHS, PURPOSE_MAIN, block_plan, stream
 
 __all__ = [
+    "TAME",
+    "R_FLOOR",
     "SimConfig",
     "PathEnsemble",
     "CLOCKS",
@@ -111,15 +114,16 @@ __all__ = [
     "conditioned_start",
 ]
 
+TAME = 4.0
+R_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class SimConfig:
     """Shared simulation parameters.
 
     ``pole_eps`` sets the absorption thresholds of the conditioned processes
-    (see module docstring); ``tame`` caps the per-step drift displacement in
-    units of ``sqrt(step)``; ``r_floor`` is the reflection guard at the
-    radial axis and the clamp distance from the sphere equator.
+    (see module docstring).
     """
 
     n: int = 1
@@ -128,8 +132,6 @@ class SimConfig:
     paths: int = BLOCK_PATHS
     seed: int = 0
     pole_eps: float = 1e-3
-    r_floor: float = 1e-6
-    tame: float = 4.0
     workers: int = 1
 
     def __post_init__(self):
@@ -139,7 +141,7 @@ class SimConfig:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.step <= 0.1:
             raise ValueError(f"step must lie in (0, 0.1], got {self.step!r}")
-        for name in ("step", "horizon", "pole_eps", "r_floor", "tame"):
+        for name in ("step", "horizon", "pole_eps"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         (k,) = grid_steps("horizon", (self.horizon,), self.step)
@@ -147,10 +149,6 @@ class SimConfig:
             raise ValueError(f"more than 1e7 steps requested: horizon {self.horizon!r} at step={self.step!r}")
         if not 0.0 < self.pole_eps <= 0.1:
             raise ValueError(f"pole_eps must lie in (0, 0.1], got {self.pole_eps!r}")
-        if not 0.0 < self.r_floor <= 1e-3:
-            raise ValueError(f"r_floor must lie in (0, 1e-3], got {self.r_floor!r}")
-        if self.tame <= 0:
-            raise ValueError(f"tame must be positive, got {self.tame!r}")
         if not (isinstance(self.seed, (int, np.integer)) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
 
@@ -266,10 +264,6 @@ def _run_blocked(cfg: SimConfig, purpose: int, kernel: Callable) -> dict:
     return {
         k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]
     }
-
-
-def _drift_cap(cfg: SimConfig) -> float:
-    return cfg.tame * np.sqrt(cfg.step)
 
 
 def _clip(x, cap: float):
@@ -527,7 +521,7 @@ def sim_radial_h(
         raise ValueError("clock levels must be positive and finite")
     dt, sq = cfg.step, np.sqrt(cfg.step)
     n = cfg.n
-    cap = _drift_cap(cfg)
+    cap = TAME * sq
     guard = 0.5 * sq
     r0, t0 = _start_point(x0, sphere=False)
 
@@ -539,7 +533,7 @@ def sim_radial_h(
         re = np.maximum(r, guard)
         disp = _clip((2 * n - 1) / (2.0 * re) * dt, cap)
         return {
-            "r": np.maximum(np.abs(r + disp + sq * dw[0]), cfg.r_floor),
+            "r": np.maximum(np.abs(r + disp + sq * dw[0]), R_FLOOR),
             "t": s["t"] + r * sq * dw[1],
         }
 
@@ -564,10 +558,10 @@ def sim_radial_s(
     """
     dt, sq = cfg.step, np.sqrt(cfg.step)
     n = cfg.n
-    cap = _drift_cap(cfg)
+    cap = TAME * sq
     guard = 0.5 * sq
     upper = np.pi / 2 - guard
-    hi = np.pi / 2 - cfg.r_floor
+    hi = np.pi / 2 - R_FLOOR
     r0, th0 = _start_point(x0, sphere=True)
 
     def start(width):
@@ -601,10 +595,10 @@ def sim_hproc(
     """
     dt, sq = cfg.step, np.sqrt(cfg.step)
     n = cfg.n
-    cap = _drift_cap(cfg)
+    cap = TAME * sq
     guard = 0.5 * sq
     upper = np.pi / 2 - guard
-    hi = np.pi / 2 - cfg.r_floor
+    hi = np.pi / 2 - R_FLOOR
     floor = cfg.absorb_floor_h
     r0, th0 = conditioned_start(cfg, x0, sphere=True)
 
@@ -636,7 +630,7 @@ def sim_Nproc(
     (and frozen) once the quartic gauge falls below ``absorb_floor_N``."""
     dt, sq = cfg.step, np.sqrt(cfg.step)
     n = cfg.n
-    cap = _drift_cap(cfg)
+    cap = TAME * sq
     guard = 0.5 * sq
     floor = cfg.absorb_floor_N
     r0, t0 = conditioned_start(cfg, x0, sphere=False)
@@ -649,7 +643,7 @@ def sim_Nproc(
         re = np.maximum(r, guard)
         br, bt = drift_Nproc((re, t), n)
         return {
-            "r": np.maximum(np.abs(r + _clip(br * dt, cap) + sq * dw[0]), cfg.r_floor),
+            "r": np.maximum(np.abs(r + _clip(br * dt, cap) + sq * dw[0]), R_FLOOR),
             "t": t + _clip(bt * dt, cap) + r * sq * dw[1],
         }
 

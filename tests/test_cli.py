@@ -302,8 +302,6 @@ def _config_error(command, bad, message="finite"):
         _config_error("simulate radial-h", "paths=inf"),
         _config_error("simulate radial-h", "x0_r=nan"),
         _config_error("simulate radial-h", "x0_t=inf"),
-        _config_error("simulate radial-h", "tame=nan"),
-        _config_error("simulate radial-h", "tame=0", "tame must be positive, got 0.0"),
         _config_error("simulate radial-h", "record=0,inf"),
         # on the step grid, but past the horizon of 0.01
         _config_error("simulate radial-h", "record=0.02", "record time 0.02 lies beyond the horizon 0.01"),
@@ -376,11 +374,11 @@ STR_KEYS = {"out"}
 # simulation keys that these commands do not read, and so reject as unknown
 DROPPED = [
     *[(c, k) for c in COMMANDS if c[0] == "verify"
-      for k in ("n", "step", "horizon", "paths", "pole_eps", "r_floor", "tame", "workers")],
+      for k in ("n", "step", "horizon", "paths", "pole_eps", "workers")],
     *[(c, "horizon") for c in COMMANDS if c[0] == "experiment"],
-    *[(("simulate", "full-h"), k) for k in ("pole_eps", "r_floor", "tame")],
-    (("simulate", "radial-h"), "pole_eps"),
-    (("simulate", "radial-s"), "pole_eps"),
+    *[(("simulate", t), "pole_eps") for t in ("full-h", "radial-h", "radial-s")],
+    # the guards of the tamed scheme are constants, sde.TAME and sde.R_FLOOR
+    *[(c, k) for c in COMMANDS for k in ("r_floor", "tame")],
 ]
 
 
@@ -388,12 +386,12 @@ def test_settable_keys_per_command():
     counts = {" ".join(c): len(resolve_config(c, {})) for c in COMMANDS}
     assert counts == {
         "verify geometry": 2, "verify operators": 2,
-        "experiment cayley": 13, "experiment kelvin": 13,
-        "experiment tdist": 12, "experiment semigroup": 15,
-        "simulate full-h": 9, "simulate radial-h": 12, "simulate radial-s": 12,
-        "simulate hproc": 13, "simulate nproc": 13,
+        "experiment cayley": 11, "experiment kelvin": 11,
+        "experiment tdist": 10, "experiment semigroup": 13,
+        "simulate full-h": 9, "simulate radial-h": 10, "simulate radial-s": 10,
+        "simulate hproc": 11, "simulate nproc": 11,
     }
-    assert sum(counts.values()) == 116 and len(set(DROPPED)) == 25
+    assert sum(counts.values()) == 100 and len(set(DROPPED)) == 41
 
 
 @pytest.mark.parametrize(
@@ -972,8 +970,8 @@ def test_seed_changes_output(tmp_path):
 def test_manifest_floats_roundtrip(tmp_path):
     out = tmp_path / "m"
     assert main(["simulate", "radial-h", "--out", str(out), "paths=4", "horizon=0.02",
-                 "step=2e-3"]) == 0
+                 "step=2e-3", "x0_t=1e-6"]) == 0
     man = read_manifest(out / "manifest.txt")
     # 17 significant digits reproduce the binary double exactly
     assert float(man["config.step"]) == 2e-3
-    assert float(man["config.r_floor"]) == 1e-6
+    assert man["config.x0_t"] == "9.9999999999999995e-07" and float(man["config.x0_t"]) == 1e-6

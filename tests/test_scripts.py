@@ -1,7 +1,7 @@
 """Every script under ``scripts/`` imports what it names from the package:
 ``--help`` runs each one in a fresh process and exits 0.  ``gate_table.py``
 also runs a command over seeds, and stops quietly when its reader does;
-``src_lines.py`` totals the package's lines."""
+``src_lines.py`` totals the package's lines and settable values."""
 
 import os
 import subprocess
@@ -9,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from heisenpaths.cli import COMMANDS, resolve_config
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
@@ -51,7 +53,8 @@ def test_gate_table_stops_quietly_when_the_reader_closes_the_pipe():
 def test_src_lines_total_is_the_plain_line_count():
     proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "src_lines.py")], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    total = proc.stdout.splitlines()[-1].split()
+    total, settable = (line.split() for line in proc.stdout.splitlines()[-2:])
     files = (ROOT / "src" / "heisenpaths").glob("*.py")
     assert total[0] == "total" and int(total[1]) == sum(len(p.read_text().splitlines()) for p in files)
     assert 0 < int(total[2]) < int(total[1])
+    assert settable == ["settable", str(sum(len(resolve_config(c, {})) for c in COMMANDS))]

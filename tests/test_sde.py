@@ -14,6 +14,7 @@ from heisenpaths.geometry import TWO_PI, h_fun, koranyi_N
 from heisenpaths.operators import drift_hproc
 from heisenpaths.rng import PURPOSE_COMPARE
 from heisenpaths.sde import (
+    R_FLOOR,
     SimConfig,
     project_radial,
     sim_full_h,
@@ -40,8 +41,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SimConfig(pole_eps=0.5)
     with pytest.raises(ValueError):
-        SimConfig(r_floor=0.01)
-    with pytest.raises(ValueError):
         SimConfig(paths=0)
     for seed in (-1, 2**64, 1.0):
         with pytest.raises(ValueError):
@@ -55,12 +54,12 @@ def test_config_validation():
         {"horizon": math.inf},
         {"horizon": math.nan},
         {"step": math.nan},
-        {"tame": math.nan},
-        {"tame": math.inf},
+        {"step": math.inf},
         {"pole_eps": math.nan},
-        {"r_floor": math.nan},
+        {"pole_eps": math.inf},
         {"paths": math.inf},
         {"paths": 16.0},
+        {"workers": math.inf},
     ],
 )
 def test_config_rejects_non_finite(bad):
@@ -162,10 +161,13 @@ def test_radial_h_matches_projection():
 
 
 def test_radial_s_stays_in_quadrant():
-    cfg = small_cfg(horizon=0.5, paths=512)
-    ens = sim_radial_s(cfg, x0=(0.7, 1.0), record_times=(0.25, 0.5))
-    r = ens.states["r"]
-    assert np.all(r >= cfg.r_floor) and np.all(r < np.pi / 2)
+    # the step reflects at 0 and clamps at pi/2 - R_FLOOR; from a start
+    # above the clamp, about a fifth of the paths sit on it after one step
+    cfg = small_cfg(step=1e-3, horizon=0.5, paths=512, seed=1)
+    ens = sim_radial_s(cfg, x0=(1.5707962, 1.0), record_times=(cfg.step, 0.25, 0.5))
+    r, hi = ens.states["r"], np.pi / 2 - R_FLOOR
+    assert np.all(r >= 0) and np.all(r <= hi)
+    assert np.any(r[0] == hi)
 
 
 # ---------------------------------------------------------------------------
