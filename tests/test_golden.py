@@ -23,7 +23,7 @@ on numpy's Philox stream and on the platform's floating point; those of
 runs through ``sim_hproc`` (cayley, tdist, semigroup, hproc) also depend
 on whether ``np.tan`` runs on numpy's SIMD lanes.  A numpy upgrade that
 changes them is a contract change too.  They are pinned at
-``meta.version`` 0.4.0 on an AVX-512 x86-64 machine with numpy 2.4.
+``meta.version`` 0.5.0 on an AVX-512 x86-64 machine with numpy 2.4.
 """
 
 import hashlib
@@ -36,84 +36,84 @@ from heisenpaths.cli import main
 RUNS = {
     "verify-geometry": (
         ["verify", "geometry"],
-        0, "75d5bfd8e080e316a0f36f8e24c61cf7c55364ba17ce574319b3da96c24648b2",
+        0, "ad9a3a2eb05a7617c93ab1e6b7f73bc8d82ec3b8b19796e0720ea8d3b39171a7",
     ),
     "verify-operators": (
         ["verify", "operators"],
-        0, "72bdc14f30eb4c69d5f6605cd0d39b8e58fc0fc167b3bee617a7555784e8afc2",
+        0, "dc9f8b7a6daf7dd051b9bbcfa366b68498e7c131d40823bb877790d5437b2116",
     ),
     "cayley": (
         ["experiment", "cayley", "paths=4196", "step=2e-3", "u_grid=0.1,0.3", "horizon_a=1"],
-        0, "aa8d98432b121268e57b9efd3c09f024bac384c7558e96834efde839b1d93450",
+        0, "c1040a215bf948a968308bf22df8623048b23a6b79adda9cd756fd5ee9a8f6b2",
     ),
     "kelvin": (
         ["experiment", "kelvin", "paths=1000", "step=2e-3", "horizon_a=5"],
-        1, "d179fbe774fdb341fe024e65a51554405f1e1898dd01e4297044f619e556873e",
+        1, "7cbb6c7da3492a0c65ace2ec87ddc9e0a926ca13e1397d811bc4b1fd7cf39335",
     ),
     "tdist": (
         ["experiment", "tdist", "paths=2000", "step=2e-3", "ts=0,0.25,0.5"],
-        0, "ab4d469c17aaea687611d12d2e14647368643c510477cf92906a1b6284ab5403",
+        0, "308b94961402d2e4949f65a89fabe279b3ff483cb3b2ad9f11c270df293025c7",
     ),
     "tdist-absorbed": (
         ["experiment", "tdist", "paths=64", "step=5e-3", "pole_eps=0.05", "ts=0,1,4,16"],
-        1, "24abb833a6ba0c4b34a5bb3d5f5a9a8089179817dda051d90a184760d0f0547f",
+        1, "825a55ce8442046e03a90319e902a7dcb3ff91fc079f7fb9870fe7668fbc9f24",
     ),
     "semigroup": (
         ["experiment", "semigroup", "paths=500", "step=5e-3", "t_grid=0.25"],
-        0, "9c9ab9c4905cd3b64e04ecbdf0d5d2afe93c6c6e4f30111e9ec44b6ce54ced76",
+        0, "54498be4a12c0d17130792a711f16b360d44f56fc97b837afeffbd8e8da3d0a1",
     ),
     "semigroup-n2-times": (
         ["experiment", "semigroup", "n=2", "paths=500", "step=5e-3", "t_grid=0.5,0.25", "tn=0.25",
          "x0_r=0.3", "x0_t=1.0", "xn_r=0.8", "xn_t=0.5"],
-        0, "07bf3f43904b3c4e067e9aa8d817b9799f6d2123ef491b620d4cf6227d69f8c7",
+        0, "38fb0602c35e225e864b789681ddc7cac6ce0ffe9cf0e1858887d736c88f764b",
     ),
     "radial-h": (
         ["simulate", "radial-h", "paths=10", "horizon=0.05", "step=2e-3", "x0_r=0.3",
          "record=0,0.02,0.05"],
-        0, "6290dc786ce09299fe4be38e337f6e7be18f1cc7664234d91e3fa2f6475c1815",
+        0, "eb9b1d1ee910dda8ca809c2aa8ac8e134ffd6298d536d2d09c31a24bac980f19",
     ),
     "radial-s": (
         ["simulate", "radial-s", "paths=6", "horizon=0.02", "step=2e-3", "x0_r=0.7", "x0_t=1.0"],
-        0, "d0cf9e4244d6b36a4beaca36c98d839fafaad84c830515ac0564315d4558acd9",
+        0, "517b3c1eda5720772339984037e46d2deb3df26e14d7f13b3e2c9f6c934fa64a",
     ),
     "radial-s-equator": (
         ["simulate", "radial-s", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
-        0, "e3cdeb8f9d94c2c45b4dcb603d1a1f03f90360bea822f61c97b7d7c25f772939",
+        0, "4beae7259751901ef51bad6291f17f02a81aad7faefae1de9df6cdf983b79b94",
     ),
     "radial-s-wrap": (
         ["simulate", "radial-s", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=0.7", "x0_t=6.28"],
-        0, "44e2775b838886a245546ffdc27f136322c9c2225016aa1d1038c73148dce9c5",
+        0, "31daade30e8e67af889b6c736a696ea568f853d07b919d28fc1d79f4e60274e1",
     ),
     "full-h": (
         ["simulate", "full-h", "n=2", "paths=4", "horizon=0.02", "step=2e-3"],
-        0, "ee79b7e906a01d6d96c99e6b4d0cb55adab6a30b638b892ad298d2859243bc33",
+        0, "6cdbaa7a45d99cdb4426de8378a44e9bf067f4a5e51cb0263a85560a34782d95",
     ),
     "full-h-chunks": (
         ["simulate", "full-h", "n=2", "paths=1700", "horizon=0.05", "step=5e-3"],
-        0, "bbde2ce78345dfa1cc6b556f63f8de41ebbfcf7e4f8da56d73e4d04a0df6bd1e",
+        0, "024804fe0ffc822193ae2a96ab71879cd8de54c0c7ad2848be8bada87695b355",
     ),
     "hproc": (
         ["simulate", "hproc", "paths=32", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
          "x0_r=0.2", "x0_t=2.5", "record=0,0.5,1"],
-        0, "16d931a5cf2128a3087ef387e8faa0888c436e425f2daa50fdbfb38ed6a5ec6c",
+        0, "f8b418356fb09043388ede99075827d321371fb1b3d814b9986059bc44664167",
     ),
     "hproc-chunks": (
         ["simulate", "hproc", "paths=1700", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
          "x0_r=0.2", "x0_t=2.5"],
-        0, "eed97593fdf9c7e6db865ca436ad780aa5ee47b525d2312c040d6a267cc08fe0",
+        0, "a6e0dffc4779c86538f6a0e20c93d8ab84762044d1a6e459954a981d2b3a5888",
     ),
     "hproc-equator": (
         ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
-        0, "cb98a844587116bd87ac510d02480c454020a2b1d27cbedaa5e492dd55c27be7",
+        0, "66b31322fa25aa806a93d6d438ba997425c0ac69f24a26f14de0716ec5408387",
     ),
     "hproc-wrap": (
         ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=0.7", "x0_t=6.28"],
-        0, "737dfe99913cf7cc56398e6240888212cdd7c36b4d567addf681884af29e3df2",
+        0, "9756901258f2ce6e5331fa5ebbf6db4f8ceb6c7b1a6f688f4377e03046f9a9af",
     ),
     "nproc": (
         ["simulate", "nproc", "paths=32", "horizon=1.0", "step=5e-3", "x0_r=0.3",
          "record=0.25,0.5,1"],
-        0, "fde3ac7b37f18542c5959d9f9ddcef9fc8cb7c8b8ea18a2400116e3560ca875a",
+        0, "0eff89722dcbdda8cbdf2a4de03254809a5ce1480068a4f4002293040ab5003a",
     ),
 }
 
