@@ -269,21 +269,20 @@ def _csv_chunks(header: list[str], columns) -> tuple[list[str], int]:
 
     Each value prints as ``_fmt`` prints it: integers in decimal, floats as
     ``%.17g``, strings as they are.  A column of any other dtype (booleans
-    and objects included) is an error.  Each column
-    becomes a matrix of NUL-padded byte rows (:mod:`.csvrows`), and
-    ``csv_lines`` joins a chunk's fields into lines and drops every NUL
-    byte.  A coded column formats each of its values once, and each chunk
-    gathers its rows' byte rows by code."""
+    and objects included) is an error.  Each column becomes a matrix of
+    NUL-padded byte rows (:mod:`.csvrows`), and ``csv_lines`` joins a
+    chunk's fields into lines and drops every NUL byte.  A coded column
+    formats each of its values once, and each chunk gathers its rows' byte
+    rows by code."""
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} CSV header names for {len(columns)} columns")
-    cols = list(columns)
-    plain = [c for c in cols if not isinstance(c, Coded)]
-    lengths = {c.rows if isinstance(c, Coded) else len(c) for c in cols}
+    plain = [c for c in columns if not isinstance(c, Coded)]
+    lengths = {c.rows if isinstance(c, Coded) else len(c) for c in columns}
     if any(c.ndim != 1 for c in plain) or len(lengths) > 1:
         raise ValueError("CSV columns must be 1-D and of one length")
-    total = lengths.pop() if cols else 0
+    total = lengths.pop() if columns else 0
     kinds, texts, python = [], {}, 0
-    for j, (name, c) in enumerate(zip(header, cols)):
+    for j, (name, c) in enumerate(zip(header, columns)):
         if isinstance(c, Coded):
             values = c.values
             if values.ndim != 1:
@@ -298,7 +297,7 @@ def _csv_chunks(header: list[str], columns) -> tuple[list[str], int]:
     for lo in range(0, total, CSV_CHUNK_ROWS):
         hi = min(lo + CSV_CHUNK_ROWS, total)
         fields = []
-        for j, c in enumerate(cols):
+        for j, c in enumerate(columns):
             if j not in texts:
                 rows, count = _field_rows(kinds[j], c[lo:hi])
                 fields.append(rows)
