@@ -444,10 +444,10 @@ DIGEST_RUNS = {
         dict(x0=(0.4, 0.0), averages={"c2": lambda r, th: np.cos(r) ** 2}),
         "ebc96d271f74421954369fdee3159da0cfeaa889d8006f5529e5c1145d4c8e90",
     ),
-    "full-h-x0z": (
+    "full-h-n2": (
         sim_full_h, dict(n=2, horizon=0.2),
-        dict(x0_z=(0.3 + 0.1j, -0.2 + 0.5j), x0_t=0.1, record_times=(0.0, 0.1, 0.2)),
-        "2a89b0e1884bea8ee63d4cd1dbbb1ebe8c81f1c6f5f995f9b7b965662fe3acf4",
+        dict(x0_t=0.1, record_times=(0.0, 0.1, 0.2)),
+        "059b960bf8f390c5dd24caaa06ddb23ff3b15e372a878f19e37f71f22354b51a",
     ),
     "radial-h-clock": (
         sim_radial_h, dict(horizon=0.2),
