@@ -275,7 +275,7 @@ def kelvin_radial(r, t):
 # measure identity
 
 
-def measure_jacobian_residual(r, t, n: int, step: float = 1e-4):
+def measure_jacobian_residual(r, t, n: int):
     """Residual of the chart volume identity at ``(r, t)``, ``r > 0``:
 
         sin(r_s)^(2n-1) cos(r_s) |det D(cayley1_chart)| - H^(n+1) r^(2n-1)
@@ -287,7 +287,7 @@ def measure_jacobian_residual(r, t, n: int, step: float = 1e-4):
     t = np.asarray(t, dtype=float)
     if np.any(r <= 1e-8):
         raise ValueError("measure identity degenerates at r = 0")
-    vals, jac, _ = map_jet(cayley1_chart, r, t, step=step, circular=(False, True))
+    vals, jac, _ = map_jet(cayley1_chart, r, t, circular=(False, True))
     det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
     rs = vals[0]
     lhs = np.sin(rs) ** (2 * n - 1) * np.cos(rs) * np.abs(det)

@@ -1,7 +1,7 @@
 """Finite-difference jets and chart pullbacks.
 
 Central differences with one Richardson extrapolation pass (leading error
-O(step^4)); on smooth inputs the default step gives ~1e-8 absolute accuracy,
+O(step^4)); on smooth inputs ``DEFAULT_STEP`` gives ~1e-8 absolute accuracy,
 degrading near coordinate singularities.  Angle-valued outputs are unwrapped
 about the center value before differencing so maps with a 2*pi seam
 differentiate cleanly.
@@ -53,28 +53,23 @@ def _jet_from_stencil(g, s):
     return g[(0, 0)], fu, fv, fuu, fuv, fvv
 
 
-def scalar_jet(fun: Callable, u, v, step: float = DEFAULT_STEP) -> Jet2:
+def scalar_jet(fun: Callable, u, v) -> Jet2:
     """Finite-difference :class:`Jet2` of a scalar map at ``(u, v)``.
 
     ``fun`` must broadcast over arrays.  Richardson-extrapolated central
-    differences; the returned value entry is the exact ``fun(u, v)``.
+    differences at ``DEFAULT_STEP``; the returned value entry is the exact
+    ``fun(u, v)``.
     """
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    coarse = _jet_from_stencil(_stencil(fun, u, v, step), step)
-    fine = _jet_from_stencil(_stencil(fun, u, v, step / 2), step / 2)
+    coarse = _jet_from_stencil(_stencil(fun, u, v, DEFAULT_STEP), DEFAULT_STEP)
+    fine = _jet_from_stencil(_stencil(fun, u, v, DEFAULT_STEP / 2), DEFAULT_STEP / 2)
     out = [coarse[0]]
     out += [(4.0 * f - c) / 3.0 for c, f in zip(coarse[1:], fine[1:])]
     return Jet2(*out)
 
 
-def map_jet(
-    chart: Callable,
-    u,
-    v,
-    step: float = DEFAULT_STEP,
-    circular=(False, False),
-):
+def map_jet(chart: Callable, u, v, circular=(False, False)):
     """Jet of a map ``(u, v) -> (p, q)``: values, Jacobian and Hessians.
 
     ``chart`` returns a pair of arrays.  ``circular[a]`` marks output ``a``
@@ -94,7 +89,7 @@ def map_jet(
             w = chart(uu, vv)[a]
             return unwrap_angle(w, center[a]) if circular[a] else w
 
-        return scalar_jet(f, u, v, step=step)
+        return scalar_jet(f, u, v)
 
     jets = [component(0), component(1)]
     vals = (jets[0].f, jets[1].f)

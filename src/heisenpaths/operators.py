@@ -311,10 +311,10 @@ def harmonic_gap_heis(r, t, n: int):
     return np.abs(heis_generator(w, r, n))
 
 
-def _chart_pullback_generator(f: TestFunction, r, t, n: int, step: float):
+def _chart_pullback_generator(f: TestFunction, r, t, n: int):
     # (pushforward of the Heisenberg generator) applied to f, evaluated at
     # the chart image of (r, t): differentiate f o chart at (r, t).
-    vals, jac, hess = map_jet(cayley1_chart, r, t, step=step, circular=(False, True))
+    vals, jac, hess = map_jet(cayley1_chart, r, t, circular=(False, True))
     jet_pre = pullback_jet(f.jet(*vals), jac, hess)
     return heis_generator(jet_pre, r, n), vals
 
@@ -323,7 +323,7 @@ def _rel(gap, a, b):
     return np.abs(gap) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)
 
 
-def residual_conj_cayley(f: TestFunction, q, n: int, step: float = 1e-4):
+def residual_conj_cayley(f: TestFunction, q, n: int):
     """Residual of the ground-state conjugation identity at sphere points.
 
     ``h^(n/2+1) * (-L + n^2)(h^(-n/2) f)`` at ``q`` must equal minus the
@@ -337,7 +337,7 @@ def residual_conj_cayley(f: TestFunction, q, n: int, step: float = 1e-4):
     w = product_jet(power_jet(hj, -0.5 * n), f.jet(rs, th))
     lhs = hj.f ** (0.5 * n + 1.0) * (n**2 * w.f - sphere_generator(w, rs, n))
     r, t = cayley1_chart_inv(rs, th)
-    rhs, _ = _chart_pullback_generator(f, r, t, n, step)
+    rhs, _ = _chart_pullback_generator(f, r, t, n)
     return _rel(lhs + rhs, lhs, rhs)
 
 
@@ -350,7 +350,7 @@ def _doob_rhs(f: TestFunction, rs, th, n: int):
     return hj.f * lf
 
 
-def residual_doob(f: TestFunction, q, n: int, step: float = 1e-4):
+def residual_doob(f: TestFunction, q, n: int):
     """Residual of the drift form of the conjugated generator at sphere points.
 
     The pushforward of the Heisenberg generator must equal
@@ -362,7 +362,7 @@ def residual_doob(f: TestFunction, q, n: int, step: float = 1e-4):
     th = np.asarray(th, dtype=float)
     rhs = _doob_rhs(f, rs, th, n)
     r, t = cayley1_chart_inv(rs, th)
-    pushed, _ = _chart_pullback_generator(f, r, t, n, step)
+    pushed, _ = _chart_pullback_generator(f, r, t, n)
     return _rel(pushed - rhs, pushed, rhs)
 
 
@@ -382,7 +382,7 @@ def residual_doob_forms_gap(f: TestFunction, q, n: int):
     return np.abs(form1 - form2)
 
 
-def residual_kelvin(F: TestFunction, p, n: int, step: float = 1e-4):
+def residual_kelvin(F: TestFunction, p, n: int):
     """Residual of the gauge-inversion operator identity at group points.
 
     ``L(F o K)`` at ``K(p)`` must equal ``N(p)^(n/2+1) * L(N^(-n/2) F)(p)``.
@@ -391,7 +391,7 @@ def residual_kelvin(F: TestFunction, p, n: int, step: float = 1e-4):
     r = np.asarray(r, dtype=float)
     t = np.asarray(t, dtype=float)
     q = kelvin_radial(r, t)
-    vals, jac, hess = map_jet(kelvin_radial, q[0], q[1], step=step, circular=(False, False))
+    vals, jac, hess = map_jet(kelvin_radial, q[0], q[1], circular=(False, False))
     jet_pre = pullback_jet(F.jet(*vals), jac, hess)
     lhs = heis_generator(jet_pre, q[0], n)
     Nj = gauge_jet(r, t)

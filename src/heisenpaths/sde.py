@@ -29,18 +29,20 @@ Absorption thresholds of the conditioned processes:
   forever and no path would ever register as absorbed.
 
 One loop, ``_simulate``, steps every process.  It owns what all of them
-share: the record slots, the stop rule, the absorption freeze and death
-times, the trapezoid clock and its level crossings, the left-point time
-averages, and the assembly of the :class:`PathEnsemble`.  A process
-supplies three functions on a state dict of per-path arrays:
+share: the start state of each block, the record slots, the stop rule,
+the absorption freeze and death times, the trapezoid clock and its level
+crossings, the left-point time averages, and the assembly of the
+:class:`PathEnsemble`.  A process supplies its start point, a mapping from
+coordinate name to start value, and two functions on a state dict of
+per-path arrays:
 
-* ``start(width)`` returns the start state of a block;
 * ``step(state, dw)`` returns a new state dict from one normal draw ``dw``
   and leaves ``state`` unchanged;
 * ``absorb(state)``, for absorbing processes only, returns the mask of
   paths inside the absorption region.  It may store values in the state
   for the next step (:func:`sim_hproc` keeps the trigonometry of the new
-  state).
+  state).  It also runs once on the start state, whose mask is unused:
+  :func:`conditioned_start` keeps the start outside the region.
 
 Each step runs in one order: draw, accumulate averages at the left point,
 ``step``, freeze the absorbed paths (``np.copyto`` of their old recorded
@@ -240,7 +242,7 @@ def _snap_slots(cfg: SimConfig, record_times: Sequence[float]) -> tuple[np.ndarr
 
 
 def _run_blocked(cfg: SimConfig, purpose: int, kernel: Callable) -> dict:
-    """Run ``kernel(width, keep, rng) -> dict of arrays`` over the block plan.
+    """Run ``kernel(keep, rng) -> dict of arrays`` over the block plan.
 
     Kernels always simulate ``BLOCK_PATHS`` paths; the final block is
     truncated to its first ``keep`` paths afterwards, so path ``j`` of a run
@@ -253,7 +255,7 @@ def _run_blocked(cfg: SimConfig, purpose: int, kernel: Callable) -> dict:
 
     def job(entry):
         b, keep = entry
-        out = kernel(BLOCK_PATHS, keep, stream(cfg.seed, purpose, b))
+        out = kernel(keep, stream(cfg.seed, purpose, b))
         return {k: v[..., :keep] for k, v in out.items()}
 
     if cfg.workers > 1 and len(plan) > 1:
@@ -338,8 +340,7 @@ def _simulate(
     cfg: SimConfig,
     purpose: int,
     record_times: Sequence[float],
-    coords: tuple[str, ...],
-    start: Callable,
+    x0: Mapping[str, object],
     step: Callable,
     absorb: Callable | None = None,
     noise: int = 2,
@@ -349,30 +350,34 @@ def _simulate(
 ) -> PathEnsemble:
     """The stepping loop behind every simulator (see the module docstring).
 
-    ``coords`` names the state entries that are recorded, frozen and
-    interpolated, and the arguments, in order, of the clock factor and the
-    averaged functions.  Each step draws ``noise`` rows of normals.
+    ``x0`` maps each coordinate to its start value; every path of a block
+    starts there, with the value's shape plus a trailing path axis.  Its
+    keys name the state entries that are recorded, frozen and interpolated,
+    and the arguments, in order, of the clock factor and the averaged
+    functions.  Each step draws ``noise`` rows of normals.
     """
+    coords = tuple(x0)
     times, slots = _snap_slots(cfg, record_times)
     factor = CLOCKS[clock] if clock else None
     averages = dict(averages or {})
-    dt, m = cfg.step, len(times)
+    dt, m, width = cfg.step, len(times), BLOCK_PATHS
     last = max(slots, default=0)
 
-    def kernel(width, keep, rng):
-        s = start(width)
+    def kernel(keep, rng):
+        s = {c: np.repeat(np.asarray(v)[..., None], width, axis=-1) for c, v in x0.items()}
         out = {c: np.empty((m,) + s[c].shape, dtype=s[c].dtype) for c in coords}
         acc = {name: np.zeros(width) for name in averages}
         hits = []  # kept columns of each level's hit mask (views)
         pending = bool(levels)  # a kept path has a level left to cross
         if absorb:
+            absorb(s)
             alive = np.ones(width, dtype=bool)
             alive_kept = alive[:keep]  # view: follows the in-place updates
             out["alive"] = np.empty((m, width), dtype=bool)
             out["death_time"] = np.full(width, np.inf)
         if factor:
             A = np.zeros(width)
-            f_old = factor(*(s[c] for c in coords)) * np.ones(width)
+            f_old = factor(*(s[c] for c in coords))
             out["clock"] = np.empty((m, width))
             for i in range(len(levels)):
                 for c in coords + ("time",):
@@ -445,53 +450,35 @@ def _simulate(
 # full-coordinate Heisenberg Brownian motion
 
 
-def sim_full_h(
-    cfg: SimConfig,
-    x0_z: Sequence[complex] | None = None,
-    x0_t: float = 0.0,
-    record_times: Sequence[float] = (),
-    purpose: int = PURPOSE_MAIN,
-) -> PathEnsemble:
-    """Brownian motion on the full group: ``z`` in C^n plus the vertical
-    coordinate driven by the left-point area increment ``Im(conj(z) dz)``.
+def sim_full_h(cfg: SimConfig, x0_t: float = 0.0, record_times: Sequence[float] = ()) -> PathEnsemble:
+    """Brownian motion on the full group, started at ``(0, x0_t)``: ``z`` in
+    C^n plus the vertical coordinate driven by the left-point area increment
+    ``Im(conj(z) dz)``.
 
     Records ``z`` (shape ``times x n x paths``) and ``t`` at the requested
     times; :func:`project_radial` reduces the result to ``(|z|, t)``.
     """
-    z0 = np.zeros(cfg.n, dtype=complex) if x0_z is None else np.asarray(x0_z, dtype=complex)
-    if z0.shape != (cfg.n,):
-        raise ValueError(f"x0_z must have shape ({cfg.n},)")
-    if not (np.all(np.isfinite(z0)) and math.isfinite(x0_t)):
+    if not math.isfinite(x0_t):
         raise ValueError("start point must be finite")
     sq = np.sqrt(cfg.step)
     n = cfg.n
-
-    def start(width):
-        return {"z": np.repeat(z0[:, None], width, axis=1), "t": np.full(width, float(x0_t))}
 
     def step(s, dw):
         z = s["z"]
         dz = sq * (dw[:n] + 1j * dw[n:])
         return {"z": z + dz, "t": s["t"] + np.sum(z.real * dz.imag - z.imag * dz.real, axis=0)}
 
-    return _simulate(cfg, purpose, record_times, ("z", "t"), start, step, noise=2 * n)
+    x0 = {"z": np.zeros(n, dtype=complex), "t": float(x0_t)}
+    return _simulate(cfg, PURPOSE_MAIN, record_times, x0, step, noise=2 * n)
 
 
 def project_radial(ens: PathEnsemble) -> PathEnsemble:
-    """Pointwise radial projection ``(z, t) -> (|z|, t)`` of a full-group
-    ensemble; all other fields are carried over unchanged."""
+    """Pointwise radial projection ``(z, t) -> (|z|, t)`` of a
+    :func:`sim_full_h` ensemble."""
     if "z" not in ens.states:
         raise ValueError("ensemble has no full coordinates to project")
     r = np.sqrt(np.sum(ens.states["z"].real ** 2 + ens.states["z"].imag ** 2, axis=1))
-    return PathEnsemble(
-        times=ens.times,
-        states={"r": r, "t": ens.states["t"]},
-        alive=ens.alive,
-        death_time=ens.death_time,
-        clock=ens.clock,
-        crossings=ens.crossings,
-        averages=ens.averages,
-    )
+    return PathEnsemble(times=ens.times, states={"r": r, "t": ens.states["t"]})
 
 
 # ---------------------------------------------------------------------------
@@ -525,9 +512,6 @@ def sim_radial_h(
     guard = 0.5 * sq
     r0, t0 = _start_point(x0, sphere=False)
 
-    def start(width):
-        return {"r": np.full(width, r0), "t": np.full(width, t0)}
-
     def step(s, dw):
         r = s["r"]
         re = np.maximum(r, guard)
@@ -537,7 +521,7 @@ def sim_radial_h(
             "t": s["t"] + r * sq * dw[1],
         }
 
-    return _simulate(cfg, purpose, record_times, ("r", "t"), start, step, clock=clock, levels=levels)
+    return _simulate(cfg, purpose, record_times, {"r": r0, "t": t0}, step, clock=clock, levels=levels)
 
 
 # ---------------------------------------------------------------------------
@@ -564,9 +548,6 @@ def sim_radial_s(
     hi = np.pi / 2 - R_FLOOR
     r0, th0 = _start_point(x0, sphere=True)
 
-    def start(width):
-        return {"r": np.full(width, r0), "th": np.full(width, th0 % TWO_PI)}
-
     def step(s, dw):
         r = s["r"]
         ta = np.tan(np.minimum(np.maximum(r, guard), upper))
@@ -576,7 +557,7 @@ def sim_radial_s(
             "th": _wrap_angle(s["th"] + ta * sq * dw[1]),
         }
 
-    return _simulate(cfg, purpose, record_times, ("r", "th"), start, step, averages=averages)
+    return _simulate(cfg, purpose, record_times, {"r": r0, "th": th0 % TWO_PI}, step, averages=averages)
 
 
 # ---------------------------------------------------------------------------
@@ -602,9 +583,6 @@ def sim_hproc(
     floor = cfg.absorb_floor_h
     r0, th0 = conditioned_start(cfg, x0, sphere=True)
 
-    def start(width):
-        return _hproc_trig({"r": np.full(width, r0), "th": np.full(width, th0 % TWO_PI)})
-
     def step(s, dw):
         ta, br, bth = _hproc_drift(s, guard, upper, n)
         return {
@@ -617,7 +595,7 @@ def sim_hproc(
         # now and the drift of the next step
         return _hproc_trig(s)["h"] < floor
 
-    return _simulate(cfg, purpose, record_times, ("r", "th"), start, step, absorb)
+    return _simulate(cfg, purpose, record_times, {"r": r0, "th": th0 % TWO_PI}, step, absorb)
 
 
 def sim_Nproc(
@@ -635,9 +613,6 @@ def sim_Nproc(
     floor = cfg.absorb_floor_N
     r0, t0 = conditioned_start(cfg, x0, sphere=False)
 
-    def start(width):
-        return {"r": np.full(width, r0), "t": np.full(width, t0)}
-
     def step(s, dw):
         r, t = s["r"], s["t"]
         re = np.maximum(r, guard)
@@ -650,4 +625,4 @@ def sim_Nproc(
     def absorb(s):
         return koranyi_N(s["r"], s["t"]) < floor
 
-    return _simulate(cfg, purpose, record_times, ("r", "t"), start, step, absorb)
+    return _simulate(cfg, purpose, record_times, {"r": r0, "t": t0}, step, absorb)

@@ -279,6 +279,22 @@ def test_start_state_is_exact():
     assert np.all(ens.states["r"][0] == 0.7)
     assert np.all(ens.states["th"][0] == 1.0)
     assert h_fun(0.7, 1.0) > 0  # sanity: start is well inside the live region
+    # every simulator records its start point on every path at t=0
+    cfg2 = replace(cfg, n=2)
+    runs = [
+        (sim_radial_h(cfg2, x0=(0.3, -0.2), record_times=(0.0,)), {"r": 0.3, "t": -0.2}),
+        (sim_hproc(cfg2, x0=(0.7, 1.0), record_times=(0.0,)), {"r": 0.7, "th": 1.0}),
+        (sim_Nproc(cfg2, x0=(0.5, 0.2), record_times=(0.0,)), {"r": 0.5, "t": 0.2}),
+        (sim_full_h(cfg2, x0_t=0.1, record_times=(0.0,)), {"t": 0.1}),
+    ]
+    for ens, start in runs:
+        for name, value in start.items():
+            rec = ens.states[name][0]
+            assert rec.dtype == np.float64 and rec.shape == (cfg.paths,)
+            assert np.all(rec == value)
+    z = runs[-1][0].states["z"][0]
+    assert z.dtype == np.complex128 and z.shape == (2, cfg.paths)
+    assert np.all(z == 0)
 
 
 # ---------------------------------------------------------------------------
