@@ -73,4 +73,4 @@ from .sde import (
 )
 from .verify import verify_geometry, verify_operators
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

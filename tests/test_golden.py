@@ -19,11 +19,13 @@ one formatting chunk with a partial last one; the ``hproc`` one has
 absorbed and surviving rows on both sides of each chunk boundary.  The
 two ``verify`` runs write no CSV: they pin the manifest's config echo
 and check records, with every tolerance at its default.  Digests depend
-on numpy's Philox stream and on the platform's floating point; those of
-runs through ``sim_hproc`` (cayley, tdist, semigroup, hproc) also depend
-on whether ``np.tan`` runs on numpy's SIMD lanes.  A numpy upgrade that
-changes them is a contract change too.  They are pinned at
-``meta.version`` 0.5.0 on an AVX-512 x86-64 machine with numpy 2.4.
+on numpy's Philox stream and on the platform's floating point.  Every
+stochastic one also depends on whether ``np.log`` and ``np.tan`` run on
+numpy's SIMD lanes, since each normal is a Box-Muller transform of raw
+Philox words through them; those of runs through ``sim_hproc`` (cayley,
+tdist, semigroup, hproc) use ``np.tan`` in each step as well.  A numpy
+upgrade that changes them is a contract change too.  They are pinned at
+``meta.version`` 0.6.0 on an AVX-512 x86-64 machine with numpy 2.4.
 """
 
 import hashlib
