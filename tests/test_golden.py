@@ -38,84 +38,84 @@ from heisenpaths.cli import main
 RUNS = {
     "verify-geometry": (
         ["verify", "geometry"],
-        0, "ad9a3a2eb05a7617c93ab1e6b7f73bc8d82ec3b8b19796e0720ea8d3b39171a7",
+        0, "8b062968c57e2f668820423f14875face78ac7c0de2cefd8e75b567d2c7115e9",
     ),
     "verify-operators": (
         ["verify", "operators"],
-        0, "dc9f8b7a6daf7dd051b9bbcfa366b68498e7c131d40823bb877790d5437b2116",
+        0, "8d13c0f58a066cfd3148aa01eb632cd80d9a65ae4f4e4d6ddbaa9220a0810230",
     ),
     "cayley": (
         ["experiment", "cayley", "paths=4196", "step=2e-3", "u_grid=0.1,0.3", "horizon_a=1"],
-        0, "c1040a215bf948a968308bf22df8623048b23a6b79adda9cd756fd5ee9a8f6b2",
+        0, "1ede14b1fc27b708a526d1ebf5e5d96ae0a9690ec523e92fd72d29f2970e38f3",
     ),
     "kelvin": (
         ["experiment", "kelvin", "paths=1000", "step=2e-3", "horizon_a=5"],
-        1, "7cbb6c7da3492a0c65ace2ec87ddc9e0a926ca13e1397d811bc4b1fd7cf39335",
+        1, "fb801f3efe2cb002a869038df44b0119bcd494470cd7fa76e40f9050ef7407bc",
     ),
     "tdist": (
         ["experiment", "tdist", "paths=2000", "step=2e-3", "ts=0,0.25,0.5"],
-        0, "308b94961402d2e4949f65a89fabe279b3ff483cb3b2ad9f11c270df293025c7",
+        0, "ef06248e50840ff8f112922276cbe66f84bf5b8e4ee495e7876011e9c3617a8d",
     ),
     "tdist-absorbed": (
         ["experiment", "tdist", "paths=64", "step=5e-3", "pole_eps=0.05", "ts=0,1,4,16"],
-        1, "825a55ce8442046e03a90319e902a7dcb3ff91fc079f7fb9870fe7668fbc9f24",
+        1, "4403589621b1f7fa0ed81d33a6c6b19ba47274bbb13951e26641e0f3e8e3403a",
     ),
     "semigroup": (
         ["experiment", "semigroup", "paths=500", "step=5e-3", "t_grid=0.25"],
-        0, "54498be4a12c0d17130792a711f16b360d44f56fc97b837afeffbd8e8da3d0a1",
+        0, "8329b36c3d65d1289beab3dd265a3436b33742c0c3547732ad10ce4fc7d311cd",
     ),
     "semigroup-n2-times": (
         ["experiment", "semigroup", "n=2", "paths=500", "step=5e-3", "t_grid=0.5,0.25", "tn=0.25",
          "x0_r=0.3", "x0_t=1.0", "xn_r=0.8", "xn_t=0.5"],
-        0, "38fb0602c35e225e864b789681ddc7cac6ce0ffe9cf0e1858887d736c88f764b",
+        0, "e923882835fc463373dd9f7f66f0d5cb9f288300958dfa72f5f20f031a47e800",
     ),
     "radial-h": (
         ["simulate", "radial-h", "paths=10", "horizon=0.05", "step=2e-3", "x0_r=0.3",
          "record=0,0.02,0.05"],
-        0, "eb9b1d1ee910dda8ca809c2aa8ac8e134ffd6298d536d2d09c31a24bac980f19",
+        0, "752484e1f76115c932026c67c56997a743e4059ca7934c96371a9a931ed2a30f",
     ),
     "radial-s": (
         ["simulate", "radial-s", "paths=6", "horizon=0.02", "step=2e-3", "x0_r=0.7", "x0_t=1.0"],
-        0, "517b3c1eda5720772339984037e46d2deb3df26e14d7f13b3e2c9f6c934fa64a",
+        0, "15efbf993084e00a208f3eaa46cb5894a4ce23d462be78c6851687ccba95cf90",
     ),
     "radial-s-equator": (
         ["simulate", "radial-s", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
-        0, "4beae7259751901ef51bad6291f17f02a81aad7faefae1de9df6cdf983b79b94",
+        0, "ff4a52397425c83f14249ca43f832092d1aa29ff245358912417839a4f12bc3a",
     ),
     "radial-s-wrap": (
         ["simulate", "radial-s", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=0.7", "x0_t=6.28"],
-        0, "31daade30e8e67af889b6c736a696ea568f853d07b919d28fc1d79f4e60274e1",
+        0, "3ffed0fc23c256df2d75b5d2f00d0841724cc5d3a60e9d5f64af15403c22dc9f",
     ),
     "full-h": (
         ["simulate", "full-h", "n=2", "paths=4", "horizon=0.02", "step=2e-3"],
-        0, "6cdbaa7a45d99cdb4426de8378a44e9bf067f4a5e51cb0263a85560a34782d95",
+        0, "b2fe4746079a67452716559cda92ac00be89cba7496bab15231a6ab2f0a8ed1e",
     ),
     "full-h-chunks": (
         ["simulate", "full-h", "n=2", "paths=1700", "horizon=0.05", "step=5e-3"],
-        0, "024804fe0ffc822193ae2a96ab71879cd8de54c0c7ad2848be8bada87695b355",
+        0, "321463903e503c44ae14aae8fd19d6a6319c818c398205394b1f0e9e98c637c7",
     ),
     "hproc": (
         ["simulate", "hproc", "paths=32", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
          "x0_r=0.2", "x0_t=2.5", "record=0,0.5,1"],
-        0, "f8b418356fb09043388ede99075827d321371fb1b3d814b9986059bc44664167",
+        0, "3b3614a70564dd5c804cc17d5f56942c7a9ace9addef088e3d74b38427bea693",
     ),
     "hproc-chunks": (
         ["simulate", "hproc", "paths=1700", "horizon=1.0", "step=5e-3", "pole_eps=0.05",
          "x0_r=0.2", "x0_t=2.5"],
-        0, "a6e0dffc4779c86538f6a0e20c93d8ab84762044d1a6e459954a981d2b3a5888",
+        0, "6cffa0ff49b101c08a6d5d025b9fe148d13f7ea6182e82ea3f65d4430c20896a",
     ),
     "hproc-equator": (
         ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=1.55", "x0_t=1.0"],
-        0, "66b31322fa25aa806a93d6d438ba997425c0ac69f24a26f14de0716ec5408387",
+        0, "721cf29d3bf9902cf08a3e62e7526405dafa7efcc4f3d51280abb11329fbd751",
     ),
     "hproc-wrap": (
         ["simulate", "hproc", "paths=8", "horizon=0.05", "step=2e-3", "x0_r=0.7", "x0_t=6.28"],
-        0, "9756901258f2ce6e5331fa5ebbf6db4f8ceb6c7b1a6f688f4377e03046f9a9af",
+        0, "0824f62c6a1585cee04f0264e4d3a17227d0e353eb47b15d475af4e58c376848",
     ),
     "nproc": (
         ["simulate", "nproc", "paths=32", "horizon=1.0", "step=5e-3", "x0_r=0.3",
          "record=0.25,0.5,1"],
-        0, "0eff89722dcbdda8cbdf2a4de03254809a5ce1480068a4f4002293040ab5003a",
+        0, "720ef6b4d85672acbf053200d68b5ffacfe758c10b1661f27f85bffe942e8a83",
     ),
 }
 

@@ -458,34 +458,34 @@ DIGEST_RUNS = {
     "radial-s-averages": (
         sim_radial_s, dict(horizon=0.2),
         dict(x0=(0.4, 0.0), averages={"c2": lambda r, th: np.cos(r) ** 2}),
-        "ebc96d271f74421954369fdee3159da0cfeaa889d8006f5529e5c1145d4c8e90",
+        "2b6aaf671b88d958a6bab109679616fe3bb5249ae0d860c87369fced3f687938",
     ),
     "full-h-n2": (
         sim_full_h, dict(n=2, horizon=0.2),
         dict(x0_t=0.1, record_times=(0.0, 0.1, 0.2)),
-        "059b960bf8f390c5dd24caaa06ddb23ff3b15e372a878f19e37f71f22354b51a",
+        "a510156d330fdb4011c0188a5a064a92286a6dc2a30a54701f1a5e927a07ac7d",
     ),
     "radial-h-clock": (
         sim_radial_h, dict(horizon=0.2),
         dict(x0=(0.3, 0.1), clock="kelvin_image", record_times=(0.1, 0.2)),
-        "90b161f26c9ab2ecd8b9dac6d30c2e0e6b1acee2fb2e1979250651888428777a",
+        "ba34e395453f8149266d17d9a3499d193a76d9070fbfb1c3ad6f6e02c7fe85a1",
     ),
     "radial-h-kelvin-preimage": (
         sim_radial_h, dict(horizon=0.4),
         dict(x0=(1.0, 0.0), clock="kelvin_preimage", levels=(0.05, 0.2), record_times=(0.1,)),
-        "b67882b730432a8bd553d1389b9bac53ff2d56456947c4ea656d4b3338bd6311",
+        "0a0f2237f3ec3bb411ae837fbaf123ba99123397ba93e3f942894b76de113744",
     ),
     "hproc-n2-equator": (
         sim_hproc, dict(n=2, horizon=0.1),
         dict(x0=(1.55, 1.0), record_times=(0.0, 0.05, 0.1)),
-        "7341da7679f09768f8b76d19d8850871a47e5da7a3c70dc89e9006d001eabf20",
+        "a502f21922a8418cbd4b4b1828468eb5c186181bad75f81a17d960a26570240a",
     ),
-    # the final block is dead by t=0.645, so it stops at the last record
-    # time while the first block runs to the horizon
+    # the final block is dead by t=1.135, after the last record time, so it
+    # stops there while the first block runs to the horizon
     "nproc-dies-out": (
         sim_Nproc, dict(horizon=4.0, step=5e-3, pole_eps=0.1, seed=7),
         dict(x0=(0.2, 0.0), record_times=(0.25, 1.0)),
-        "c86d84b6d17825b4f7f8414f52b7c64e77f2723498688b8529a6f11e17bcfa08",
+        "81e8e619becd779ced9c3cdeca950fdb660ef9107fb9d31ce0cae2185cce19d3",
     ),
 }
 
