@@ -26,6 +26,7 @@ stream drives which path, which changes every sampled number.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,34 +41,45 @@ PURPOSE_AUX = 2        # auxiliary draws (weights, controls)
 _PURPOSE_SHIFT = 40  # block index lives in the low 40 bits of the second key word
 
 
-class BoxMullerGenerator(np.random.Generator):
-    """A numpy Generator whose ``standard_normal`` is the Box-Muller draw of
-    the module docstring; every other method is numpy's."""
-
-    def standard_normal(self, size):
-        k = math.prod(size) if np.iterable(size) else int(size)
-        m = -(-k // 2)
-        w = self.bit_generator.random_raw(2 * m)
-        w >>= 11
-        u = w.astype(np.float64)
-        u *= 2.0**-53
-        r, t = u[:m], u[m:]
-        np.subtract(1.0, r, out=r)
-        np.log(r, out=r)
-        r *= -2.0
-        np.sqrt(r, out=r)
-        t *= np.pi
-        np.tan(t, out=t)
-        q = np.multiply(t, t)
-        q += 1.0
-        q *= 0.5
-        np.divide(r, q, out=q)  # 2R/(1 + t^2)
-        np.subtract(q, r, out=r)  # R (1 - t^2)/(1 + t^2)
-        t *= q  # 2Rt/(1 + t^2)
-        return u[:k].reshape(size)
+def box_muller_normals(gen: np.random.Generator, size) -> np.ndarray:
+    """``size`` standard normals from ``gen``'s raw Philox words, laid out as
+    the module docstring says; ``standard_normal`` of every stream."""
+    k = math.prod(size) if np.iterable(size) else int(size)
+    m = -(-k // 2)
+    w = gen.bit_generator.random_raw(2 * m)
+    w >>= 11
+    u = w.astype(np.float64)
+    u *= 2.0**-53
+    r, t = u[:m], u[m:]
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    t *= np.pi
+    np.tan(t, out=t)
+    q = np.multiply(t, t)
+    q += 1.0
+    q *= 0.5
+    np.divide(r, q, out=q)  # 2R/(1 + t^2)
+    np.subtract(q, r, out=r)  # R (1 - t^2)/(1 + t^2)
+    t *= q  # 2Rt/(1 + t^2)
+    return u[:k].reshape(size)
 
 
-def stream(seed: int, purpose: int, block: int) -> BoxMullerGenerator:
+@functools.cache
+def _generator_type() -> type:
+    # numpy imports numpy.random on first use; subclassing its Generator
+    # here rather than at import keeps that import out of start-up
+    class BoxMullerGenerator(np.random.Generator):
+        """A numpy Generator whose ``standard_normal`` is
+        :func:`box_muller_normals`; every other method is numpy's."""
+
+        standard_normal = box_muller_normals
+
+    return BoxMullerGenerator
+
+
+def stream(seed: int, purpose: int, block: int) -> np.random.Generator:
     """Philox generator for one ``(purpose, block)`` cell of a run, drawing
     normals by Box-Muller from its raw words."""
     if not 0 <= block < (1 << _PURPOSE_SHIFT):
@@ -75,7 +87,7 @@ def stream(seed: int, purpose: int, block: int) -> BoxMullerGenerator:
     # an explicit uint64 key: a list of Python ints above 2**63 would reach
     # Philox through a lossy float cast
     key = np.array([int(seed), (int(purpose) << _PURPOSE_SHIFT) + int(block)], dtype=np.uint64)
-    return BoxMullerGenerator(np.random.Philox(key=key))
+    return _generator_type()(np.random.Philox(key=key))
 
 
 def block_plan(paths: int) -> list[tuple[int, int]]:

@@ -112,13 +112,12 @@ def test_standard_normal_is_box_muller_of_the_raw_words(size):
     assert same_state(gen.bit_generator.state, fresh.state)
 
 
-def test_step_draw_pairs_rows_by_column():
-    # rows 0 and 1 of a (2, width) draw are the two halves of one pair, so
-    # their squares add up to the squared radius of that column's pair
-    z = stream(1, PURPOSE_MAIN, 0).standard_normal((2, BLOCK_PATHS))
-    u = (philox(1, PURPOSE_MAIN, 0).random_raw(BLOCK_PATHS) >> 11) * 2.0**-53
-    assert np.allclose(z[0] ** 2 + z[1] ** 2, -2.0 * np.log(1.0 - u), rtol=1e-13, atol=0)
-    assert np.max(np.abs(z)) <= math.sqrt(106 * math.log(2))
+def test_other_draws_are_numpys():
+    # only standard_normal is replaced: uniforms are numpy's from the same key
+    gen = stream(3, PURPOSE_AUX, 11)
+    assert isinstance(gen, np.random.Generator)
+    want = np.random.Generator(philox(3, PURPOSE_AUX, 11)).uniform(0.2, 1.3, 20)
+    assert np.array_equal(gen.uniform(0.2, 1.3, 20), want)
 
 
 def test_traced_generator_leaves_the_run_bit_identical(monkeypatch):
