@@ -50,10 +50,10 @@ coordinates, skipped while none is), ``absorb`` on the frozen state, clock
 and crossings, record.
 Absorbed paths thus freeze at the triggering state.  Every ensemble is
 built from fixed-width path blocks with per-block Philox streams
-(:mod:`heisenpaths.rng`), whose normals are Box-Muller pairs of the raw
-Philox words: rows 0 and 1 of a ``(2, width)`` step draw are the two
-halves of one pair per path.  So outputs are bitwise identical for any
-worker count.
+(:mod:`heisenpaths.rng`), so outputs are bitwise identical for any worker
+count.  A stream's normals are Box-Muller pairs of its raw Philox words:
+rows 0 and 1 of a ``(2, width)`` step draw are the two halves of one pair
+per path.
 
 Finished blocks stop early.  Before drawing step ``k`` a block stops when
 ``k`` has reached its last record slot, no time average is accumulating,
