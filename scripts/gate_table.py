@@ -7,14 +7,12 @@ passed (``k/N``).  A value whose check failed is marked with a trailing
 
 Each run is a fresh ``python -m heisenpaths.cli`` process on the ``src``
 tree of the checkout this script lives in, writing to a temporary
-directory.  ``--workers`` is passed only to the commands that take it
-(``experiment`` and ``simulate``).  Running it from two checkouts shows
-their gate values side by side, for example before and after a change
-that alters output bytes.
+directory.  Running it from two checkouts shows their gate values side by
+side, for example before and after a change that alters output bytes.
 
 Usage:
     python3 scripts/gate_table.py --seeds 1-5 "experiment tdist" \\
-        "experiment cayley paths=8192" [--workers 2]
+        "experiment cayley paths=8192"
 """
 
 import argparse
@@ -25,9 +23,6 @@ import tempfile
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
-sys.path.insert(0, str(SRC))
-
-from heisenpaths.cli import COMMANDS  # noqa: E402
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -38,13 +33,11 @@ def parse_seeds(text: str) -> list[int]:
     return [int(x) for x in text.split(",")]
 
 
-def run(command: list[str], seed: int, workers: int, out: Path) -> dict[str, str]:
+def run(command: list[str], seed: int, out: Path) -> dict[str, str]:
     """Run one command and return its manifest as a dict."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     argv = [sys.executable, "-m", "heisenpaths.cli", *command, "--seed", str(seed), "--out", str(out)]
-    if "workers" in COMMANDS.get(tuple(command[:2]), {}):
-        argv += ["--workers", str(workers)]
     proc = subprocess.run(argv, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
     if proc.returncode not in (0, 1):
         raise SystemExit(f"{' '.join(command)} --seed {seed} exited {proc.returncode}: {proc.stderr}")
@@ -56,7 +49,6 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("commands", nargs="+", help='a quoted CLI command, e.g. "experiment tdist paths=4096"')
     ap.add_argument("--seeds", default="1-5")
-    ap.add_argument("--workers", type=int, default=1)
     ns = ap.parse_args()
     seeds = parse_seeds(ns.seeds)
 
@@ -65,7 +57,7 @@ def main() -> int:
         with tempfile.TemporaryDirectory() as tmp:
             for command in ns.commands:
                 words = command.split()
-                manifests = [run(words, s, ns.workers, Path(tmp) / f"{'-'.join(words)}-{s}") for s in seeds]
+                manifests = [run(words, s, Path(tmp) / f"{'-'.join(words)}-{s}") for s in seeds]
                 keys = sorted(k for k in manifests[0] if k.startswith("test.") and k.endswith(".value"))
                 for key in keys:
                     passed = key[: -len(".value")] + ".pass"

@@ -22,8 +22,8 @@ writes into its output directory:
 * ``run.log`` — timestamp, invocation echo, phase timings, the count of
   floats ``%`` formatted and the CPU time of the whole process so far.
   The log is the only file with wall-clock content, so manifest and CSVs
-  are byte-identical across reruns with the same config and seed, for any
-  worker count.
+  are byte-identical across reruns with the same config and seed.  Blocks
+  run in one thread; ``workers`` is checked and otherwise ignored.
 
 Each file is written to a temporary name and renamed into place, so it
 appears whole or not at all.
@@ -117,9 +117,10 @@ _PARSERS = {int: _parse_int, float: _parse_float, tuple: _parse_floats, str: _pa
 # manifest's config echo so reruns compare byte-identical
 ECHO_EXCLUDE = {"workers", "out"}
 
-# the simulation keys (``SimConfig`` fields) of the simulators, by whether
-# they read the absorption floor, and of the experiments, which set the
-# horizon of each of their runs from their own keys
+# the simulation keys (``SimConfig`` fields, and ``workers``) of the
+# simulators, by whether they read the absorption floor, and of the
+# experiments, which set the horizon of each of their runs from their own
+# keys
 _FREE = {"n": 1, "step": 1e-3, "horizon": 1.0, "paths": 20_000, "seed": 1, "workers": 1}
 _ABSORBING = {**_FREE, "pole_eps": 1e-3}
 _EXPERIMENT = {k: v for k, v in _ABSORBING.items() if k != "horizon"}
@@ -180,6 +181,8 @@ def _sim_config(cfg: dict) -> SimConfig:
     """``SimConfig`` of the simulation keys in ``cfg``; the fields a command
     does not take keep their ``SimConfig`` defaults.  Without ``horizon``
     the horizon is one step: each experiment run replaces it."""
+    if cfg.get("workers", 1) < 1:
+        raise ConfigError(f"workers must be a positive integer, got {cfg['workers']!r}")
     sim = {f.name: cfg[f.name] for f in fields(SimConfig) if f.name in cfg}
     if "step" in sim:
         sim.setdefault("horizon", sim["step"])
@@ -605,7 +608,6 @@ def main(argv=None) -> int:
             f"started {time.strftime('%Y-%m-%dT%H:%M:%S%z')}\n",
             f"command {' '.join(command)}\n",
             f"version {__version__}\n",
-            f"workers {cfg.get('workers', 1)}\n",
             f"elapsed_s {t2 - t0:.3f}\n",
             f"phase.drive_s {t1 - t0:.3f}\n",
             f"phase.format_s {t2 - t1:.3f}\n",

@@ -3,9 +3,8 @@
 Streams are keyed by ``(seed, purpose, block)``.  ``purpose`` separates the
 independent sub-simulations inside one experiment; ``block`` indexes
 fixed-width path blocks.  Because every block owns its own counter-based
-stream, results are bitwise independent of how blocks are scheduled across
-worker threads, and a run is reproducible from ``(seed, purposes, paths)``
-alone.
+stream, path ``j`` draws the same normals at any path count, and a run is
+reproducible from ``(seed, purposes, paths)`` alone.
 
 Normals come from a Box-Muller transform of the stream's raw 64-bit Philox
 words (Box & Muller, Ann. Math. Stat. 1958), not from numpy's ziggurat.  A

@@ -50,10 +50,10 @@ coordinates, skipped while none is), ``absorb`` on the frozen state, clock
 and crossings, record.
 Absorbed paths thus freeze at the triggering state.  Every ensemble is
 built from fixed-width path blocks with per-block Philox streams
-(:mod:`heisenpaths.rng`), so outputs are bitwise identical for any worker
-count.  A stream's normals are Box-Muller pairs of its raw Philox words:
-rows 0 and 1 of a ``(2, width)`` step draw are the two halves of one pair
-per path.
+(:mod:`heisenpaths.rng`), stepped one after another in block order, so
+path ``j`` does not depend on the path count.  A stream's normals are
+Box-Muller pairs of its raw Philox words: rows 0 and 1 of a ``(2, width)``
+step draw are the two halves of one pair per path.
 
 Finished blocks stop early.  Before drawing step ``k`` a block stops when
 ``k`` has reached its last record slot, no time average is accumulating,
@@ -88,7 +88,6 @@ equals ``np.mod`` bit for bit (``-0.0``, NaN and infinities included).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -136,10 +135,9 @@ class SimConfig:
     paths: int = BLOCK_PATHS
     seed: int = 0
     pole_eps: float = 1e-3
-    workers: int = 1
 
     def __post_init__(self):
-        for name in ("n", "paths", "workers"):
+        for name in ("n", "paths"):
             value = getattr(self, name)
             if not (isinstance(value, (int, np.integer)) and value >= 1):
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -243,33 +241,6 @@ def _snap_slots(cfg: SimConfig, record_times: Sequence[float]) -> tuple[np.ndarr
     return times, {k: j for j, k in enumerate(ks)}
 
 
-def _run_blocked(cfg: SimConfig, purpose: int, kernel: Callable) -> dict:
-    """Run ``kernel(keep, rng) -> dict of arrays`` over the block plan.
-
-    Kernels always simulate ``BLOCK_PATHS`` paths; the final block is
-    truncated to its first ``keep`` paths afterwards, so path ``j`` of a run
-    does not depend on the total path count.  Kernels use ``keep`` only to
-    decide when their block is finished.  Arrays are concatenated along
-    their last axis in block order, which makes the result independent of
-    scheduling.
-    """
-    plan = block_plan(cfg.paths)
-
-    def job(entry):
-        b, keep = entry
-        out = kernel(keep, stream(cfg.seed, purpose, b))
-        return {k: v[..., :keep] for k, v in out.items()}
-
-    if cfg.workers > 1 and len(plan) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            parts = list(pool.map(job, plan))
-    else:
-        parts = [job(entry) for entry in plan]
-    return {
-        k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]
-    }
-
-
 def _clip(x, cap: float):
     """``np.clip(x, -cap, cap)`` without its Python wrapper; same values."""
     return np.minimum(np.maximum(x, -cap), cap)
@@ -357,6 +328,12 @@ def _simulate(
     keys name the state entries that are recorded, frozen and interpolated,
     and the arguments, in order, of the clock factor and the averaged
     functions.  Each step draws ``noise`` rows of normals.
+
+    Every block simulates ``BLOCK_PATHS`` paths; the final block is
+    truncated to its first ``keep`` paths afterwards, so path ``j`` of a run
+    does not depend on the total path count.  The kernel uses ``keep`` only
+    to decide when its block is finished.  Arrays are concatenated along
+    their last axis in block order.
     """
     coords = tuple(x0)
     times, slots = _snap_slots(cfg, record_times)
@@ -435,7 +412,12 @@ def _simulate(
             out["avg", name] = acc[name] / (cfg.steps * dt)
         return out
 
-    flat = _run_blocked(cfg, purpose, kernel)
+    parts = []
+    for b, keep in block_plan(cfg.paths):
+        # looked up at call time: bench/tracer.py and bench/child.py patch it
+        out = kernel(keep, stream(cfg.seed, purpose, b))
+        parts.append({k: v[..., :keep] for k, v in out.items()})
+    flat = {k: np.concatenate([p[k] for p in parts], axis=-1) for k in parts[0]}
     ens = PathEnsemble(times=times, states={c: flat[c] for c in coords})
     if absorb:
         ens.alive, ens.death_time = flat["alive"], flat["death_time"]

@@ -73,10 +73,12 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
-def test_bad_n_rejected(tmp_path, capsys):
+@pytest.mark.parametrize("item", ["n=0", "workers=0"])
+def test_bad_n_rejected(tmp_path, capsys, item):
     out = tmp_path / "r"
-    assert main(["simulate", "radial-h", "paths=2", "horizon=0.002", "n=0", "--out", str(out)]) == 2
-    assert "n must be a positive integer" in capsys.readouterr().err
+    assert main(["simulate", "radial-h", "paths=2", "horizon=0.002", item, "--out", str(out)]) == 2
+    key, _, value = item.partition("=")
+    assert f"{key} must be a positive integer, got {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -909,7 +911,7 @@ def test_byte_identity_across_reruns_and_workers(tmp_path):
         ref = (a / name).read_bytes()
         assert (b / name).read_bytes() == ref
         assert (c / name).read_bytes() == ref
-    # the log carries the wall clock and worker count and may differ
+    # the log carries the wall clock and may differ
     assert (a / "run.log").exists()
 
 

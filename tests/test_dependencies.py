@@ -78,9 +78,12 @@ for target in ("cayley", "kelvin"):
     rc = cli.main(["experiment", target, "paths=300", "step=5e-3", "horizon_a=5", "--out", out])
     assert rc == 0, (target, rc)
 print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.startswith("concurrent.futures")))
 """
     lines = _run_python(code).stdout.splitlines()
     assert lines[:2] == ["1", "1"]
+    assert lines[-2] == "[]"
+    # blocks run in one thread: no thread pool is loaded
     assert lines[-1] == "[]"
     for target in ("cayley", "kelvin"):
         assert "ks_r" in (tmp_path / target / "manifest.txt").read_text(encoding="utf-8")

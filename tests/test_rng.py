@@ -1,6 +1,6 @@
-"""Counter-keyed streams: determinism, purpose separation, worker invariance,
-and the Box-Muller normals: an oracle, the stream's state after a draw, and
-a statistical battery."""
+"""Counter-keyed streams: determinism, purpose separation, block plans and
+prefixes, and the Box-Muller normals: an oracle, the stream's state after a
+draw, and a statistical battery."""
 
 import math
 
@@ -52,16 +52,6 @@ def test_block_plan_covers_paths():
         assert sum(keep for _, keep in plan) == paths
         assert all(0 < keep <= BLOCK_PATHS for _, keep in plan)
         assert [b for b, _ in plan] == list(range(len(plan)))
-
-
-def test_worker_count_invisible():
-    # the same draws are made per block regardless of scheduling
-    cfg1 = small_cfg(paths=BLOCK_PATHS + 100, horizon=0.05, workers=1)
-    cfg4 = small_cfg(paths=BLOCK_PATHS + 100, horizon=0.05, workers=4)
-    a = sim_radial_h(cfg1, x0=(0.5, 0.0), record_times=(0.05,))
-    b = sim_radial_h(cfg4, x0=(0.5, 0.0), record_times=(0.05,))
-    assert np.array_equal(a.states["r"], b.states["r"])
-    assert np.array_equal(a.states["t"], b.states["t"])
 
 
 def test_truncation_keeps_block_prefix():

@@ -59,19 +59,11 @@ def test_config_validation():
         {"pole_eps": math.inf},
         {"paths": math.inf},
         {"paths": 16.0},
-        {"workers": math.inf},
     ],
 )
 def test_config_rejects_non_finite(bad):
     with pytest.raises(ValueError):
         SimConfig(**bad)
-
-
-def test_fractional_workers_rejected_by_value():
-    # a float count passes a bare ``>= 1`` check, and the thread pool then
-    # runs the blocks on two threads
-    with pytest.raises(ValueError, match=r"workers must be a positive integer, got 1\.5"):
-        SimConfig(workers=1.5, paths=3 * 4096)
 
 
 def test_start_point_must_be_finite():
@@ -499,4 +491,3 @@ def test_simulator_output_digest(name, monkeypatch):
     # the simulator draws through sde.stream, one full-width draw per step
     assert draws and all(size[-1] == sde.BLOCK_PATHS for size in draws)
     assert ensemble_digest(ens) == digest
-    assert ensemble_digest(fn(replace(cfg, workers=2), **kwargs)) == digest
